@@ -130,8 +130,7 @@ def cmd_run(config: RunConfig) -> int:
                             patience=config.patience, dtype=config.dtype)
 
     state = init_embeddings(dataset.num_users, dataset.num_items, config.d,
-                            config.seed, dtype=train_cfg.np_dtype)
-    state.L = config.layers
+                            config.seed, dtype=train_cfg.np_dtype, L=config.layers)
     head = None
     sim_index = None
     if config.method.startswith("scl-"):
@@ -139,8 +138,6 @@ def cmd_run(config: RunConfig) -> int:
         save_similarity(sim_index, out / "similarity.sclsim")
     if config.method != "lightgcn":
         objective = "infonce" if config.method == "sgl" else "s_infonce"
-        if sim_index is None:  # sgl needs no similarity labels, views only
-            sim_index = compute_similarity(graph, config.top_n) if objective != "infonce" else None
         state, head, _curve = pretrain(dataset, sim_index, aug, state, head,
                                        loss_cfg, train_cfg, objective=objective,
                                        log_fn=log_fn)

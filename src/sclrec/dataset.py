@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,11 +29,33 @@ class InteractionDataset:
     def interactions(self) -> frozenset:
         return self.train | self.test
 
+    @cached_property
+    def train_keys(self) -> np.ndarray:
+        """`train` as sorted int64 keys user * num_items + item, i.e. in
+        (user, item) order; `np.divmod(keys, num_items)` gives the pairs."""
+        return _pair_keys(self.train, self.num_items)
+
+    @cached_property
+    def test_keys(self) -> np.ndarray:
+        """`test` as sorted int64 keys, like `train_keys`."""
+        return _pair_keys(self.test, self.num_items)
+
     def summary(self) -> str:
         denom = self.num_users * self.num_items
         density = 100.0 * len(self.interactions) / denom if denom else 0.0
         return (f"users={self.num_users} items={self.num_items} "
                 f"train={len(self.train)} test={len(self.test)} density={density:.2f}%")
+
+
+def _pair_keys(pairs, num_items: int) -> np.ndarray:
+    keys = np.fromiter((u * num_items + i for u, i in pairs), dtype=np.int64, count=len(pairs))
+    keys.sort()
+    return keys
+
+
+def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each query occurs in `sorted_keys` (ascending, non-empty)."""
+    return np.take(sorted_keys, np.searchsorted(sorted_keys, queries), mode="clip") == queries
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ the same operator applied to the output gradient (A_hat is symmetric).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ import numpy as np
 from sclrec.dataset import BipartiteGraph
 
 CKPT_MAGIC = b"SCLCKPT1"
+_CKPT_HEADER = 24  # magic + u32 (num_users, num_items, d, L)
+_HEAD_HEADER = 12  # u32 (d, d_h, d_p) before the head's arrays
 
 
 @dataclass
@@ -57,14 +60,14 @@ class PropagatedEmbeddings:
 
 
 def init_embeddings(num_users: int, num_items: int, d: int, seed: int,
-                    dtype=np.float64) -> EmbeddingState:
-    """Layer-0 embeddings drawn i.i.d. normal(0, 0.1)."""
+                    dtype=np.float64, L: int = 3) -> EmbeddingState:
+    """Layer-0 embeddings drawn i.i.d. normal(0, 0.1), for L propagation layers."""
     if d < 1:
         raise ValueError("d must be >= 1")
     rng = np.random.default_rng(seed)
     user = rng.normal(0.0, 0.1, size=(num_users, d)).astype(dtype)
     item = rng.normal(0.0, 0.1, size=(num_items, d)).astype(dtype)
-    return EmbeddingState(user_emb=user, item_emb=item, d=d, L=3)
+    return EmbeddingState(user_emb=user, item_emb=item, d=d, L=L)
 
 
 def init_head(d: int, d_h: int, d_p: int, seed: int, dtype=np.float64) -> ProjectionHead:
@@ -171,22 +174,41 @@ def save_checkpoint(path, state: EmbeddingState, head: ProjectionHead | None = N
 
 
 def load_checkpoint(path):
-    """Returns (EmbeddingState, ProjectionHead | None)."""
+    """Returns (EmbeddingState, ProjectionHead | None).
+
+    The file's size must be exactly the one its headers imply, with or without
+    the head section; anything else raises ValueError naming both sizes.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        num_users, num_items, d, L = struct.unpack("<IIII", fh.read(16))
-        user = np.frombuffer(fh.read(num_users * d * 4), dtype="<f4").reshape(num_users, d)
-        item = np.frombuffer(fh.read(num_items * d * 4), dtype="<f4").reshape(num_items, d)
-        state = EmbeddingState(user_emb=user.copy(), item_emb=item.copy(), d=d, L=L)
-        hdr = fh.read(12)
-        head = None
-        if len(hdr) == 12:
-            hd, dh, dp = struct.unpack("<III", hdr)
-            w1 = np.frombuffer(fh.read(hd * dh * 4), dtype="<f4").reshape(hd, dh)
-            b1 = np.frombuffer(fh.read(dh * 4), dtype="<f4")
-            w2 = np.frombuffer(fh.read(dh * dp * 4), dtype="<f4").reshape(dh, dp)
-            b2 = np.frombuffer(fh.read(dp * 4), dtype="<f4")
-            head = ProjectionHead(w1.copy(), b1.copy(), w2.copy(), b2.copy())
-    return state, head
+        data = fh.read()
+    size = len(data)
+    if size < _CKPT_HEADER:
+        raise ValueError(f"{path}: truncated checkpoint: {size} bytes, "
+                         f"expected at least {_CKPT_HEADER}")
+    if data[:8] != CKPT_MAGIC:
+        raise ValueError(f"{path}: bad magic {data[:8]!r}")
+    num_users, num_items, d, L = struct.unpack_from("<IIII", data, 8)
+    body = _CKPT_HEADER + 4 * (num_users + num_items) * d
+    if size != body and size < body + _HEAD_HEADER:
+        raise ValueError(f"{path}: checkpoint is {size} bytes, expected {body} "
+                         f"without a head or at least {body + _HEAD_HEADER} with one")
+
+    def take(offset, *shape):
+        count = math.prod(shape)
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        return arr.reshape(shape).copy(), offset + 4 * count
+
+    user, offset = take(_CKPT_HEADER, num_users, d)
+    item, _ = take(offset, num_items, d)
+    state = EmbeddingState(user_emb=user, item_emb=item, d=d, L=L)
+    if size == body:
+        return state, None
+    hd, dh, dp = struct.unpack_from("<III", data, body)
+    expected = body + _HEAD_HEADER + 4 * (hd * dh + dh + dh * dp + dp)
+    if size != expected:
+        raise ValueError(f"{path}: checkpoint is {size} bytes, expected {expected}")
+    w1, offset = take(body + _HEAD_HEADER, hd, dh)
+    b1, offset = take(offset, dh)
+    w2, offset = take(offset, dh, dp)
+    b2, _ = take(offset, dp)
+    return state, ProjectionHead(w1, b1, w2, b2)

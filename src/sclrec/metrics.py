@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sclrec.dataset import in_sorted
+
 DEFAULT_CUTOFFS = (3, 5, 10)
+EVAL_BLOCK = 256  # users per score block: bounds the scores held at once to 256 x num_items
 
 
 @dataclass(frozen=True)
@@ -70,29 +73,63 @@ def map_at_k(ranked, relevant_set, k: int) -> float:
 
 def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset,
              cutoffs=DEFAULT_CUTOFFS) -> RankingReport:
-    """Mean per-user metrics over users with at least one test interaction."""
-    train_by_user = {}
-    for u, i in dataset.train:
-        train_by_user.setdefault(u, set()).add(i)
-    test_by_user = {}
-    for u, i in dataset.test:
-        test_by_user.setdefault(u, set()).add(i)
-    if not test_by_user:
+    """Mean per-user metrics over users with at least one test interaction.
+
+    Scores EVAL_BLOCK users per matrix product with their training items set
+    to -inf, so each user's ranking is `rank_items` followed by its excluded
+    items; only the top max(cutoffs) ranks are ordered. Per-rank and per-user
+    sums run in rank and user order, as the scalar metric functions add them.
+    """
+    if min(cutoffs) < 1:
+        raise ValueError(f"cutoffs must be >= 1, got {tuple(cutoffs)}")
+    num_items = dataset.num_items
+    test_keys = dataset.test_keys
+    users, num_relevant = np.unique(test_keys // num_items, return_counts=True)
+    if not len(users):
         raise ValueError("no users with test interactions to evaluate")
-    sums = {m: {k: 0.0 for k in cutoffs} for m in ("map", "mrr", "ndcg")}
-    n = 0
-    for u in sorted(test_by_user):
-        scores = final_user[u] @ final_item.T
-        ranked = rank_items(scores, train_by_user.get(u, ()))
-        relevant = test_by_user[u]
-        for k in cutoffs:
-            sums["map"][k] += map_at_k(ranked, relevant, k)
-            sums["mrr"][k] += mrr_at_k(ranked, relevant, k)
-            sums["ndcg"][k] += ndcg_at_k(ranked, relevant, k)
-        n += 1
-    return RankingReport(
-        map_at={k: sums["map"][k] / n for k in cutoffs},
-        mrr_at={k: sums["mrr"][k] / n for k in cutoffs},
-        ndcg_at={k: sums["ndcg"][k] / n for k in cutoffs},
-        num_users=n,
-    )
+    train_users, train_items = np.divmod(dataset.train_keys, num_items)
+    k_max = min(max(cutoffs), num_items)
+    ranks = np.arange(1, k_max + 1)
+    discount = 1.0 / np.log2(ranks + 1)
+    ideal = np.cumsum(discount)
+    hits = np.empty((len(users), k_max), dtype=bool)
+    for start in range(0, len(users), EVAL_BLOCK):
+        block = users[start:start + EVAL_BLOCK]
+        scores = final_user[block] @ final_item.T
+        if not np.isfinite(scores).all():
+            raise ValueError("non-finite scores: embeddings hold NaN or inf")
+        lo, hi = np.searchsorted(train_users, [block[0], block[-1] + 1])
+        rows = np.searchsorted(block, train_users[lo:hi])
+        own = block[rows] == train_users[lo:hi]
+        scores[rows[own], train_items[lo:hi][own]] = -np.inf
+        top = _top_k(scores, k_max)
+        hits[start:start + len(block)] = in_sorted(test_keys, block[:, None] * num_items + top)
+    gain = np.cumsum(hits * discount, axis=1)
+    precision = np.cumsum(hits * (np.cumsum(hits, axis=1) / ranks), axis=1)
+    first = np.where(hits.any(axis=1), hits.argmax(axis=1), k_max)
+    n = len(users)
+    means = {m: {} for m in ("map", "mrr", "ndcg")}
+    for k in cutoffs:
+        kk = min(k, k_max)
+        depth = np.minimum(k, num_relevant)
+        per_user = {
+            "map": precision[:, kk - 1] / depth,
+            "mrr": np.where(first < kk, 1.0 / (first + 1), 0.0),
+            "ndcg": gain[:, kk - 1] / ideal[np.minimum(kk, num_relevant) - 1],
+        }
+        for m, values in per_user.items():
+            means[m][k] = float(np.cumsum(values)[-1]) / n
+    return RankingReport(map_at=means["map"], mrr_at=means["mrr"], ndcg_at=means["ndcg"],
+                         num_users=n)
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of each row's k best entries, by score descending then id
+    ascending; ties at the k-th score are resolved exactly."""
+    kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k]
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    starts = np.searchsorted(rows, np.arange(scores.shape[0]))
+    pick = starts[:, None] + np.arange(k)
+    return cols[pick]

@@ -7,8 +7,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from sclrec.dataset import BipartiteGraph, build_graph
+from sclrec.dataset import BipartiteGraph, build_graph, in_sorted
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, propagate,
                         project_backward, project_forward)
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
@@ -45,23 +46,21 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments shaped like each parameter plus a step counter."""
+    """First/second moments shaped like each parameter plus a step counter,
+    and two work buffers per parameter for the in-place update."""
 
     def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.buffers = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.step = 0
-
-    def copy(self) -> "AdamState":
-        out = AdamState({})
-        out.m = {k: v.copy() for k, v in self.m.items()}
-        out.v = {k: v.copy() for k, v in self.v.items()}
-        out.step = self.step
-        return out
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
-    """Standard Adam update with bias correction; params updated in place."""
+    """Standard Adam update with bias correction; params updated in place.
+
+    The update p -= lr * m_hat / (sqrt(v_hat) + eps) is evaluated one
+    operation at a time, in that order, into the state's work buffers."""
     state.step += 1
     t = state.step
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -71,13 +70,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
+        step, denom = state.buffers[name]
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(g, 1 - b1, out=step)
+        m += step
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        np.multiply(g, 1 - b2, out=step)
+        step *= g
+        v += step
+        np.divide(m, 1 - b1 ** t, out=step)
+        step *= config.lr
+        np.divide(v, 1 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.adam_eps
+        step /= denom
+        p -= step
     return params, state
 
 
@@ -92,7 +99,8 @@ def _propagate_raw(e0: np.ndarray, adj, L: int) -> np.ndarray:
     for _ in range(L):
         e = adj @ e
         acc += e
-    return acc / (L + 1)
+    acc /= L + 1
+    return acc
 
 
 def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
@@ -221,17 +229,69 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     return out, head, loss_curve
 
 
-def _sample_negatives(users, train_sets, num_items, rng):
-    """One uniform non-interacted item per training interaction (rejection)."""
+def _one_hot(rows: np.ndarray, num_rows: int, dtype) -> sp.csr_matrix:
+    """CSR S with S[rows[k], k] = 1, columns of a row in ascending k. S @ X
+    adds the X rows that share a target row starting from zero, in the order
+    np.add.at adds them, so the sums are bit-identical to it."""
+    order = np.argsort(rows, kind="stable").astype(np.int32)
+    indptr = np.zeros(num_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return sp.csr_matrix((np.ones(len(rows), dtype=dtype), order, indptr),
+                         shape=(num_rows, len(rows)))
+
+
+def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarray,
+                       bj: np.ndarray, lambda_l2: float):
+    """One BPR mini-batch end to end: mean loss over the triples and its
+    gradient with respect to e0.
+
+    bu, bi, bj are stacked node ids (items offset by num_users) of each
+    triple's user, positive and negative item. Scores are inner products of
+    the propagated embeddings; the L2 term covers the layer-0 rows the batch
+    touches, once per occurrence.
+    """
+    nb = len(bu)
+    rows = np.concatenate([bu, bi, bj])
+    final = _propagate_raw(e0, adj, L)
+    f = final[rows]
+    fu, fi, fj = f[:nb], f[nb:2 * nb], f[2 * nb:]
+    y_pos = np.einsum("td,td->t", fu, fi)
+    y_neg = np.einsum("td,td->t", fu, fj)
+    e = e0[rows]
+    eu, ei, ej = e[:nb], e[nb:2 * nb], e[2 * nb:]
+    sq = float((eu * eu).sum() + (ei * ei).sum() + (ej * ej).sum())
+    loss, g_pos, g_neg = bpr_loss(y_pos, y_neg, sq, lambda_l2)
+    g_pos = (g_pos / nb).astype(e0.dtype)[:, None]
+    g_neg = (g_neg / nb).astype(e0.dtype)[:, None]
+    # Both scatters are products with [I | S] over the touched rows, S the
+    # one-hot of `rows`: row r of [I | S] @ [base; terms] adds r's batch terms
+    # to base[r] in batch order, as np.add.at does. The first base is zero.
+    touched, slot = np.unique(rows, return_inverse=True)
+    nt = len(touched)
+    scatter = _one_hot(np.concatenate([np.arange(nt), slot]), nt, e0.dtype)
+    stack = np.zeros((nt + 3 * nb, e0.shape[1]), dtype=e0.dtype)
+    terms = stack[nt:]
+    np.multiply(g_pos, fi, out=terms[:nb])
+    terms[:nb] += g_neg * fj
+    np.multiply(g_pos, fu, out=terms[nb:2 * nb])
+    np.multiply(g_neg, fu, out=terms[2 * nb:])
+    grad_final = np.zeros_like(e0)
+    grad_final[touched] = scatter @ stack
+    grad_e0 = _propagate_raw(grad_final, adj, L)
+    np.take(grad_e0, touched, axis=0, out=stack[:nt])
+    np.multiply(e, 2.0 * lambda_l2 / nb, out=terms)
+    grad_e0[touched] = scatter @ stack
+    return loss / nb, grad_e0
+
+
+def _sample_negatives(users, train_keys, num_items, rng):
+    """One uniform non-interacted item per training interaction (rejection);
+    rejected draws are redrawn together, in ascending index order."""
     neg = rng.integers(0, num_items, size=len(users))
-    bad = np.fromiter((neg[t] in train_sets[users[t]] for t in range(len(users))),
-                      dtype=bool, count=len(users))
-    idx = np.flatnonzero(bad)
+    idx = np.flatnonzero(in_sorted(train_keys, users * num_items + neg))
     while idx.size:
         neg[idx] = rng.integers(0, num_items, size=idx.size)
-        still = np.fromiter((neg[t] in train_sets[users[t]] for t in idx),
-                            dtype=bool, count=idx.size)
-        idx = idx[still]
+        idx = idx[in_sorted(train_keys, users[idx] * num_items + neg[idx])]
     return neg
 
 
@@ -251,14 +311,12 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     e0 = state.stacked().astype(dtype)
     params = {"emb": e0}
     adam = AdamState(params)
-    train_sets = [set() for _ in range(nu)]
-    for u, i in dataset.train:
-        train_sets[u].add(i)
-    pairs = sorted(dataset.train)
+    train_keys = dataset.train_keys
+    users_all, items_all = np.divmod(train_keys, dataset.num_items)
     # a user holding every item admits no negative; drop its triples up front
-    pairs = [(u, i) for u, i in pairs if len(train_sets[u]) < dataset.num_items]
-    users_all = np.fromiter((u for u, _ in pairs), dtype=np.int64, count=len(pairs))
-    items_all = np.fromiter((i for _, i in pairs), dtype=np.int64, count=len(pairs))
+    keep = np.bincount(users_all, minlength=nu)[users_all] < dataset.num_items
+    users_all, items_all = users_all[keep], items_all[keep]
+    n_pairs = len(users_all)
 
     def snapshot():
         return EmbeddingState(user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy(),
@@ -275,32 +333,15 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     best_epoch = 0
     history.append((0, None, best_ndcg))
     for epoch in range(1, train_config.finetune_epochs + 1):
-        neg_all = _sample_negatives(users_all, train_sets, dataset.num_items, rng)
-        order = rng.permutation(len(pairs))
+        neg_all = _sample_negatives(users_all, train_keys, dataset.num_items, rng)
+        order = rng.permutation(n_pairs)
         losses = []
-        for start in range(0, len(pairs), train_config.batch_size):
+        for start in range(0, n_pairs, train_config.batch_size):
             sel = order[start:start + train_config.batch_size]
-            bu, bi, bj = users_all[sel], items_all[sel] + nu, neg_all[sel] + nu
-            final = _propagate_raw(e0, adj, state.L)
-            fu, fi, fj = final[bu], final[bi], final[bj]
-            y_pos = np.einsum("td,td->t", fu, fi)
-            y_neg = np.einsum("td,td->t", fu, fj)
-            eu, ei, ej = e0[bu], e0[bi], e0[bj]
-            sq = float((eu * eu).sum() + (ei * ei).sum() + (ej * ej).sum())
-            loss, g_pos, g_neg = bpr_loss(y_pos, y_neg, sq, loss_config.lambda_l2)
-            nb = len(sel)
-            losses.append(loss / nb)
-            g_pos = (g_pos / nb).astype(dtype)
-            g_neg = (g_neg / nb).astype(dtype)
-            grad_final = np.zeros_like(e0)
-            np.add.at(grad_final, bu, g_pos[:, None] * fi + g_neg[:, None] * fj)
-            np.add.at(grad_final, bi, g_pos[:, None] * fu)
-            np.add.at(grad_final, bj, g_neg[:, None] * fu)
-            grad_e0 = _propagate_raw(grad_final, adj, state.L)
-            reg = 2.0 * loss_config.lambda_l2 / nb
-            np.add.at(grad_e0, bu, reg * eu)
-            np.add.at(grad_e0, bi, reg * ei)
-            np.add.at(grad_e0, bj, reg * ej)
+            loss, grad_e0 = bpr_loss_and_grads(
+                e0, adj, state.L, users_all[sel], items_all[sel] + nu, neg_all[sel] + nu,
+                loss_config.lambda_l2)
+            losses.append(loss)
             adam_step(params, {"emb": grad_e0}, adam, train_config)
         epoch_loss = float(np.mean(losses)) if losses else float("nan")
         ndcg = None

@@ -187,3 +187,32 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\0" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_size_mismatch_names_sizes(tmp_path):
+    st = init_embeddings(3, 4, 5, seed=0, dtype=np.float32)
+    head = init_head(5, 6, 2, seed=1, dtype=np.float32)
+    path = tmp_path / "model.sclckpt"
+    save_checkpoint(path, st, head)
+    full = path.read_bytes()
+    body = 24 + 4 * (3 + 4) * 5
+    sections = [8, 16, 4 * 3 * 5, 4 * 4 * 5, 12, 4 * 5 * 6, 4 * 6, 4 * 6 * 2, 4 * 2]
+    boundaries = np.cumsum(sections)
+    assert boundaries[3] == body and boundaries[-1] == len(full)
+    cuts = sorted({int(b) + delta for b in boundaries for delta in (-1, 0, 1)}
+                  - {body, len(full), len(full) + 1})
+    for n in cuts + [None]:
+        data = full[:n] if n is not None else full + b"\0"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        assert str(path) in message and f"{len(data)} bytes" in message and "expected" in message
+    path.write_bytes(full[:body])
+    st2, head2 = load_checkpoint(path)
+    assert head2 is None and np.array_equal(st2.item_emb, st.item_emb)
+
+
+def test_init_layers():
+    assert init_embeddings(2, 3, 4, seed=0).L == 3
+    assert init_embeddings(2, 3, 4, seed=0, L=1).L == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sclrec import metrics
 from sclrec.metrics import (RankingReport, evaluate, map_at_k, mrr_at_k,
                             ndcg_at_k, rank_items)
 
@@ -136,3 +137,57 @@ def test_evaluate_no_users_errors():
     ds = dataset_from_pairs(1, 2, train={(0, 0)}, test=set())
     with pytest.raises(ValueError):
         evaluate(np.eye(1), np.ones((2, 1)), ds)
+
+
+def per_user_evaluate(final_user, final_item, dataset, cutoffs=(3, 5, 10)):
+    """Oracle: one `rank_items` call per user and the scalar metric functions."""
+    train_by_user, test_by_user = {}, {}
+    for u, i in dataset.train:
+        train_by_user.setdefault(u, set()).add(i)
+    for u, i in dataset.test:
+        test_by_user.setdefault(u, set()).add(i)
+    out = {(m, k): 0.0 for m in ("map", "mrr", "ndcg") for k in cutoffs}
+    for u in sorted(test_by_user):
+        ranked = rank_items(final_user[u] @ final_item.T, train_by_user.get(u, ()))
+        for k in cutoffs:
+            out["map", k] += map_at_k(ranked, test_by_user[u], k)
+            out["mrr", k] += mrr_at_k(ranked, test_by_user[u], k)
+            out["ndcg", k] += ndcg_at_k(ranked, test_by_user[u], k)
+    return {key: value / len(test_by_user) for key, value in out.items()}, len(test_by_user)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_evaluate_matches_per_user_oracle(monkeypatch, dtype):
+    # blocks of 4 users; integer-valued embeddings give exact score ties; with
+    # 14 items, users holding more than 4 have fewer than 10 unseen items; some
+    # users have no test items and some no interactions at all
+    monkeypatch.setattr(metrics, "EVAL_BLOCK", 4)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        nu, ni = 23, 14
+        train, test = set(), set()
+        for u in range(nu):
+            items = rng.permutation(ni)
+            n_train = int(rng.integers(0, ni))
+            n_test = int(rng.integers(0, min(4, ni - n_train) + 1))
+            train |= {(u, int(i)) for i in items[:n_train]}
+            test |= {(u, int(i)) for i in items[n_train:n_train + n_test]}
+        ds = dataset_from_pairs(nu, ni, train, test)
+        fu = rng.integers(-2, 3, size=(nu, 3)).astype(dtype)
+        fi = rng.integers(-2, 3, size=(ni, 3)).astype(dtype)
+        report = evaluate(fu, fi, ds)
+        expected, n = per_user_evaluate(fu, fi, ds)
+        assert report.num_users == n
+        for k in (3, 5, 10):
+            assert report.map_at[k] == pytest.approx(expected["map", k], rel=1e-12)
+            assert report.mrr_at[k] == pytest.approx(expected["mrr", k], rel=1e-12)
+            assert report.ndcg_at[k] == pytest.approx(expected["ndcg", k], rel=1e-12)
+
+
+def test_evaluate_rejects_non_finite_scores_and_bad_cutoffs():
+    ds = dataset_from_pairs(2, 3, train={(0, 0)}, test={(0, 1), (1, 2)})
+    fi = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(np.array([[1.0, 0.0], [np.nan, 1.0]]), fi, ds)
+    with pytest.raises(ValueError, match="cutoff"):
+        evaluate(np.eye(2), fi, ds, cutoffs=(0, 3))

@@ -4,8 +4,8 @@ import pytest
 from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_embeddings, init_head
-from sclrec.loss import LossConfig
-from sclrec.train import (AdamState, TrainConfig, adam_step,
+from sclrec.loss import LossConfig, bpr_loss
+from sclrec.train import (AdamState, TrainConfig, adam_step, bpr_loss_and_grads,
                           contrastive_loss_and_grads, finetune, pretrain,
                           _similar_pairs_matrix)
 
@@ -190,6 +190,120 @@ def test_bpr_end_to_end_gradient_check():
             em[r, c] -= eps
             num = (loss_of(ep) - loss_of(em)) / (2 * eps)
             assert num == pytest.approx(grad[r, c], rel=1e-3, abs=1e-9)
+
+
+def test_bpr_loss_and_grads_finite_differences():
+    # users 0 and 2 repeat, positive item 1 repeats, item 2 is a positive in
+    # one triple and a negative in two others
+    rng = np.random.default_rng(5)
+    nu, ni, d, L = 4, 6, 3, 2
+    edges = [(u, i) for u in range(nu) for i in range(ni) if rng.random() < 0.5]
+    adj = build_graph(edges, nu, ni).norm_adj
+    e0 = rng.normal(0, 0.3, size=(nu + ni, d))
+    bu = np.array([0, 0, 1, 2, 0, 2])
+    bi = nu + np.array([1, 1, 2, 3, 4, 1])
+    bj = nu + np.array([2, 5, 0, 2, 5, 3])
+    lam = 0.05
+    loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam)
+    dense = adj.toarray()
+    final = sum(np.linalg.matrix_power(dense, k) for k in range(L + 1)) @ e0 / (L + 1)
+    margin = (final[bu] * (final[bi] - final[bj])).sum(axis=1)
+    sq = (e0[bu] ** 2).sum() + (e0[bi] ** 2).sum() + (e0[bj] ** 2).sum()
+    assert loss == pytest.approx((np.log1p(np.exp(-margin)).sum() + lam * sq) / len(bu),
+                                 rel=1e-12)
+    eps = 1e-6
+    for r in range(nu + ni):
+        for c in range(d):
+            ep, em = e0.copy(), e0.copy()
+            ep[r, c] += eps
+            em[r, c] -= eps
+            num = (bpr_loss_and_grads(ep, adj, L, bu, bi, bj, lam)[0]
+                   - bpr_loss_and_grads(em, adj, L, bu, bi, bj, lam)[0]) / (2 * eps)
+            assert num == pytest.approx(grad[r, c], rel=1e-5, abs=1e-10)
+
+
+def reference_finetune(dataset, state, lambda_l2, cfg):
+    """Fine-tuning as first written, for a dataset without test pairs: per-user
+    item sets, six np.add.at scatters per batch, Adam with temporaries."""
+    nu, ni = dataset.num_users, dataset.num_items
+    dtype = cfg.np_dtype
+    adj = build_graph(dataset.train, nu, ni).norm_adj.astype(dtype)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
+    e0 = state.stacked().astype(dtype)
+    m, v = np.zeros_like(e0), np.zeros_like(e0)
+    train_sets = [set() for _ in range(nu)]
+    for u, i in dataset.train:
+        train_sets[u].add(i)
+    pairs = [(u, i) for u, i in sorted(dataset.train) if len(train_sets[u]) < ni]
+    users = np.array([u for u, _ in pairs], dtype=np.int64)
+    items = np.array([i for _, i in pairs], dtype=np.int64)
+
+    def propagate_raw(x):
+        acc, e = x.copy(), x
+        for _ in range(state.L):
+            e = adj @ e
+            acc += e
+        return acc / (state.L + 1)
+
+    def rejected(ts, neg):
+        return np.array([t for t in ts if neg[t] in train_sets[users[t]]], dtype=np.int64)
+
+    step = 0
+    for _ in range(cfg.finetune_epochs):
+        neg = rng.integers(0, ni, size=len(users))
+        idx = rejected(range(len(users)), neg)
+        while idx.size:
+            neg[idx] = rng.integers(0, ni, size=idx.size)
+            idx = rejected(idx, neg)
+        order = rng.permutation(len(users))
+        for start in range(0, len(users), cfg.batch_size):
+            sel = order[start:start + cfg.batch_size]
+            bu, bi, bj = users[sel], items[sel] + nu, neg[sel] + nu
+            final = propagate_raw(e0)
+            fu, fi, fj = final[bu], final[bi], final[bj]
+            eu, ei, ej = e0[bu], e0[bi], e0[bj]
+            sq = float((eu * eu).sum() + (ei * ei).sum() + (ej * ej).sum())
+            _, g_pos, g_neg = bpr_loss(np.einsum("td,td->t", fu, fi),
+                                       np.einsum("td,td->t", fu, fj), sq, lambda_l2)
+            nb = len(sel)
+            g_pos = (g_pos / nb).astype(dtype)
+            g_neg = (g_neg / nb).astype(dtype)
+            grad_final = np.zeros_like(e0)
+            np.add.at(grad_final, bu, g_pos[:, None] * fi + g_neg[:, None] * fj)
+            np.add.at(grad_final, bi, g_pos[:, None] * fu)
+            np.add.at(grad_final, bj, g_neg[:, None] * fu)
+            g = propagate_raw(grad_final)
+            reg = 2.0 * lambda_l2 / nb
+            np.add.at(g, bu, reg * eu)
+            np.add.at(g, bi, reg * ei)
+            np.add.at(g, bj, reg * ej)
+            step += 1
+            b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** step)
+            v_hat = v / (1 - b2 ** step)
+            e0 -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return e0
+
+
+def test_finetune_bit_identical_to_reference():
+    # user 0 holds every item; small batches repeat users and items within a batch
+    rng = np.random.default_rng(21)
+    nu, ni = 9, 11
+    train = {(0, i) for i in range(ni)}
+    for u in range(1, nu):
+        train |= {(u, int(i)) for i in rng.choice(ni, size=int(rng.integers(2, 8)),
+                                                   replace=False)}
+    ds = dataset_from_pairs(nu, ni, train)
+    cfg = small_train_config(finetune_epochs=2, batch_size=7, lr=0.05, dtype="float32")
+    state = init_embeddings(nu, ni, 6, seed=4, dtype=np.float32)
+    out, _ = finetune(ds, state, LossConfig(lambda_l2=0.01), cfg)
+    expected = reference_finetune(ds, state, 0.01, cfg)
+    assert out.stacked().dtype == np.float32
+    assert np.array_equal(out.stacked(), expected)
 
 
 def test_pretrain_does_not_mutate_inputs():
