@@ -15,7 +15,7 @@ from sclrec.augment import (
     node_replication,
     compute_similarity,
 )
-from sclrec.gcn import EmbeddingState, ProjectionHead, PropagatedEmbeddings, init_embeddings, init_head, propagate, project, predict
+from sclrec.gcn import EmbeddingState, ProjectionHead, PropagatedEmbeddings, init_embeddings, init_head, propagate
 from sclrec.loss import LossConfig, ContrastBatch, bpr_loss, info_nce, s_info_nce
 from sclrec.train import TrainConfig, AdamState, pretrain, finetune
 from sclrec.metrics import RankingReport, evaluate, rank_items, ndcg_at_k, mrr_at_k, map_at_k
@@ -25,7 +25,7 @@ __all__ = [
     "AugmentationConfig", "AugmentedView", "SimilarityIndex",
     "node_drop", "edge_drop", "node_replication", "compute_similarity",
     "EmbeddingState", "ProjectionHead", "PropagatedEmbeddings",
-    "init_embeddings", "init_head", "propagate", "project", "predict",
+    "init_embeddings", "init_head", "propagate",
     "LossConfig", "ContrastBatch", "bpr_loss", "info_nce", "s_info_nce",
     "TrainConfig", "AdamState", "pretrain", "finetune",
     "RankingReport", "evaluate", "rank_items", "ndcg_at_k", "mrr_at_k", "map_at_k",

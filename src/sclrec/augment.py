@@ -213,16 +213,32 @@ def save_similarity(index: SimilarityIndex, path) -> None:
 
 
 def load_similarity(path) -> SimilarityIndex:
+    """Reads save_similarity's format. The file's size must be exactly the one
+    its counts imply; anything else raises ValueError naming both sizes."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SIM_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        n_users, n_items = struct.unpack("<II", fh.read(8))
-        sides = []
-        for count in (n_users, n_items):
-            side = []
-            for _ in range(count):
-                (n,) = struct.unpack("<I", fh.read(4))
-                side.append(tuple(struct.unpack("<If", fh.read(8)) for _ in range(n)))
-            sides.append(tuple(side))
+        data = fh.read()
+    size = len(data)
+
+    def need(end):
+        if size < end:
+            raise ValueError(f"{path}: similarity file is {size} bytes, "
+                             f"expected at least {end}")
+
+    need(16)
+    if data[:8] != SIM_MAGIC:
+        raise ValueError(f"{path}: bad magic {data[:8]!r}")
+    n_users, n_items = struct.unpack_from("<II", data, 8)
+    offset = 16
+    sides = []
+    for count in (n_users, n_items):
+        side = []
+        for _ in range(count):
+            need(offset + 4)
+            (n,) = struct.unpack_from("<I", data, offset)
+            start, offset = offset + 4, offset + 4 + 8 * n
+            need(offset)
+            side.append(tuple(struct.iter_unpack("<If", data[start:offset])))
+        sides.append(tuple(side))
+    if size != offset:
+        raise ValueError(f"{path}: similarity file is {size} bytes, expected {offset}")
     return SimilarityIndex(user_neighbors=sides[0], item_neighbors=sides[1])

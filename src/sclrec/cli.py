@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-import sclrec
 from sclrec.augment import AugmentationConfig, compute_similarity, save_similarity
-from sclrec.dataset import build_graph, load_ml100k, split_train_test
+from sclrec.dataset import ParseError, load_ml100k, split_train_test
 from sclrec.gcn import init_embeddings, load_checkpoint, propagate, save_checkpoint
 from sclrec.loss import LossConfig
 from sclrec.metrics import evaluate
@@ -102,21 +101,25 @@ def config_hash(config: RunConfig) -> str:
 
 
 def cmd_run(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not Path(config.data_path).is_file():
         print(f"error: dataset not found: {config.data_path}", file=sys.stderr)
         return 1
+    try:
+        dataset = split_train_test(load_ml100k(config.data_path),
+                                   ratio=config.split_ratio, seed=config.seed)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     log_lines = []
 
     def log_fn(line):
         log_lines.append(line)
         print(line)
 
-    dataset = split_train_test(load_ml100k(config.data_path),
-                               ratio=config.split_ratio, seed=config.seed)
     print(dataset.summary())
-    graph = build_graph(dataset.train, dataset.num_users, dataset.num_items)
+    graph = dataset.train_graph
 
     aug = AugmentationConfig(rho1=config.rho1, rho2=config.rho2, rho3=config.rho3,
                              k_segments=config.k_segments, top_n=config.top_n,

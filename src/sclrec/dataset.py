@@ -40,6 +40,11 @@ class InteractionDataset:
         """`test` as sorted int64 keys, like `train_keys`."""
         return _pair_keys(self.test, self.num_items)
 
+    @cached_property
+    def train_graph(self) -> "BipartiteGraph":
+        """The normalized graph of `train`, built once for every stage."""
+        return build_graph(self.train, self.num_users, self.num_items)
+
     def summary(self) -> str:
         denom = self.num_users * self.num_items
         density = 100.0 * len(self.interactions) / denom if denom else 0.0
@@ -75,13 +80,6 @@ class BipartiteGraph:
     def num_nodes(self) -> int:
         return self.num_users + self.num_items
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for u, i in self.edges:
-            deg[u] += 1
-            deg[self.num_users + i] += 1
-        return deg
-
 
 class ParseError(ValueError):
     pass
@@ -92,27 +90,27 @@ def load_ml100k(path) -> InteractionDataset:
 
     Every rated pair becomes one interaction regardless of rating value;
     duplicates collapse. All interactions land in `train` (split separately).
+    A bad line or a non-ASCII byte raises ParseError naming path and line.
     """
     pairs = set()
-    users_seen = {}
-    items_seen = {}
-    n_lines = 0
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            if not line.isascii():
+                raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
             if not line:
                 continue
-            n_lines += 1
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ParseError(f"line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
+                raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated "
+                                 f"fields, got {len(parts)}")
             try:
                 u = int(parts[0])
                 i = int(parts[1])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer id: {exc}") from None
+                raise ParseError(f"{path}: line {lineno}: non-integer id: {exc}") from None
             if u < 1 or i < 1:
-                raise ParseError(f"line {lineno}: ids must be >= 1")
+                raise ParseError(f"{path}: line {lineno}: ids must be >= 1")
             pairs.add((u, i))
     if not pairs:
         raise ParseError(f"{path}: no interactions found")

@@ -1,4 +1,4 @@
-"""Embedding storage, linear graph propagation, projection head, and scoring.
+"""Embedding storage, linear graph propagation, projection head, and checkpoints.
 
 Propagation follows the simplified convolution: E^(l) = A_hat E^(l-1) with no
 per-layer weights or nonlinearity; the final representation is the uniform
@@ -31,9 +31,6 @@ class EmbeddingState:
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.user_emb, self.item_emb], axis=0)
 
-    def copy(self) -> "EmbeddingState":
-        return EmbeddingState(self.user_emb.copy(), self.item_emb.copy(), self.d, self.L)
-
 
 @dataclass
 class ProjectionHead:
@@ -44,15 +41,11 @@ class ProjectionHead:
     w2: np.ndarray  # d_h x d_p
     b2: np.ndarray  # d_p
 
-    def copy(self) -> "ProjectionHead":
-        return ProjectionHead(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 @dataclass
 class PropagatedEmbeddings:
     final_user: np.ndarray
     final_item: np.ndarray
-    per_layer: list | None = None  # retained layer outputs when requested
 
     @property
     def final(self) -> np.ndarray:
@@ -80,52 +73,37 @@ def init_head(d: int, d_h: int, d_p: int, seed: int, dtype=np.float64) -> Projec
     )
 
 
-def propagate(state: EmbeddingState, graph: BipartiteGraph,
-              keep_layers: bool = False) -> PropagatedEmbeddings:
-    """E^(l) = A_hat E^(l-1) for l=1..L; final = mean of layers 0..L."""
-    if graph.num_nodes != state.user_emb.shape[0] + state.item_emb.shape[0]:
-        raise ValueError(
-            f"graph has {graph.num_nodes} nodes but state has "
-            f"{state.user_emb.shape[0] + state.item_emb.shape[0]}")
+def norm_adj_as(graph: BipartiteGraph, dtype):
+    """The graph's normalized adjacency in `dtype`; cast only when it differs."""
     adj = graph.norm_adj
-    if adj.dtype != state.user_emb.dtype:
-        adj = adj.astype(state.user_emb.dtype)
-    e = state.stacked()
-    layers = [e]
-    acc = e.copy()
-    for _ in range(state.L):
+    return adj if adj.dtype == dtype else adj.astype(dtype)
+
+
+def layer_mean(e0: np.ndarray, adj, L: int) -> np.ndarray:
+    """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
+    layers 0..L. The one propagation kernel; e0 is not modified."""
+    acc = e0.copy()
+    e = e0
+    for _ in range(L):
         e = adj @ e
         acc += e
-        if keep_layers:
-            layers.append(e)
-    final = acc / (state.L + 1)
-    return PropagatedEmbeddings(
-        final_user=final[: graph.num_users],
-        final_item=final[graph.num_users:],
-        per_layer=layers if keep_layers else None,
-    )
+    acc /= L + 1
+    return acc
+
+
+def propagate(state: EmbeddingState, graph: BipartiteGraph) -> PropagatedEmbeddings:
+    """E^(l) = A_hat E^(l-1) for l=1..L; final = mean of layers 0..L."""
+    n = state.user_emb.shape[0] + state.item_emb.shape[0]
+    if graph.num_nodes != n:
+        raise ValueError(f"graph has {graph.num_nodes} nodes but state has {n}")
+    final = layer_mean(state.stacked(), norm_adj_as(graph, state.user_emb.dtype), state.L)
+    return PropagatedEmbeddings(final_user=final[: graph.num_users],
+                                final_item=final[graph.num_users:])
 
 
 def propagate_backward(grad_final: np.ndarray, graph: BipartiteGraph, L: int) -> np.ndarray:
-    """Gradient of the layer-mean propagation w.r.t. E^(0).
-
-    The forward map is (1/(L+1)) sum_l A_hat^l; A_hat is symmetric so the
-    adjoint is the same polynomial applied to the incoming gradient.
-    """
-    adj = graph.norm_adj
-    if adj.dtype != grad_final.dtype:
-        adj = adj.astype(grad_final.dtype)
-    g = grad_final
-    acc = g.copy()
-    for _ in range(L):
-        g = adj @ g
-        acc += g
-    return acc / (L + 1)
-
-
-def project(h: np.ndarray, head: ProjectionHead) -> np.ndarray:
-    """Apply the projection MLP to a vector or a batch of row vectors."""
-    return np.maximum(h @ head.w1 + head.b1, 0.0) @ head.w2 + head.b2
+    """Gradient of the layer-mean propagation w.r.t. E^(0): A_hat is symmetric, so the same map."""
+    return layer_mean(grad_final, norm_adj_as(graph, grad_final.dtype), L)
 
 
 def project_forward(h: np.ndarray, head: ProjectionHead):
@@ -149,13 +127,6 @@ def project_backward(cache, head: ProjectionHead, grad_z: np.ndarray):
     }
     grad_h = grad_pre @ head.w1.T
     return grad_h, grads
-
-
-def predict(u: np.ndarray, v: np.ndarray) -> float:
-    """Inner-product preference score."""
-    if u.shape != v.shape:
-        raise ValueError("dimension mismatch")
-    return float(np.dot(u, v))
 
 
 def save_checkpoint(path, state: EmbeddingState, head: ProjectionHead | None = None) -> None:

@@ -4,14 +4,16 @@ then BPR fine-tuning, both driven by a from-scratch Adam."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from sclrec.dataset import BipartiteGraph, build_graph, in_sorted
-from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, propagate,
+from sclrec.augment import make_views
+from sclrec.dataset import in_sorted
+from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, norm_adj_as, propagate,
                         project_backward, project_forward)
+from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
 from sclrec.metrics import evaluate
 
@@ -88,21 +90,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
-def _cast_adj(graph: BipartiteGraph, dtype):
-    adj = graph.norm_adj
-    return adj if adj.dtype == dtype else adj.astype(dtype)
-
-
-def _propagate_raw(e0: np.ndarray, adj, L: int) -> np.ndarray:
-    acc = e0.copy()
-    e = e0
-    for _ in range(L):
-        e = adj @ e
-        acc += e
-    acc /= L + 1
-    return acc
-
-
 def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
     """Symmetric boolean matrix: (a, b) true if either lists the other in its
     top-N; diagonal true (a node's two views are mutual positives)."""
@@ -114,21 +101,16 @@ def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
     return mat
 
 
-def _expand_view_mask(pair_mat: np.ndarray) -> np.ndarray:
-    """Lift an anchor-level pair matrix to the interleaved two-view row space."""
-    return np.kron(pair_mat, np.ones((2, 2), dtype=bool))
-
-
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, offset: int,
                                pair_mat: np.ndarray | None, tau: float,
-                               objective: str = "s_infonce",
                                denominator: str = "negatives"):
-    """One contrastive mini-batch over same-side nodes, end to end.
+    """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     Propagates e0 through both view adjacencies, projects the batch rows of
-    each view (interleaved), applies the chosen contrastive loss, and chains
-    the gradient back to e0 and the head parameters.
+    each view (interleaved), applies supervised InfoNCE over `pair_mat` (true
+    diagonal) or, when it is None, SGL's InfoNCE, and chains the gradient
+    back to e0 and the head parameters.
 
     Returns (loss, grad_e0, head_grads); (None, None, None) when the batch has
     an anchor without any valid negative.
@@ -144,14 +126,13 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     z64 = z.astype(np.float64)
     if (np.linalg.norm(z64, axis=1) == 0).any():
         return None, None, None  # dead-relu row, cosine undefined for this batch
-    if objective == "infonce":
+    if pair_mat is None:
         loss, grad_z = info_nce(z64, tau)
     else:
-        sub = pair_mat[np.ix_(nodes, nodes)]
-        pos = _expand_view_mask(sub)
+        views = np.repeat(nodes, 2)  # row 2s + a is view a of nodes[s]
+        pos = pair_mat[np.ix_(views, views)]
+        neg = ~pos  # pair_mat's diagonal is true, so neg's is false
         np.fill_diagonal(pos, False)
-        eye = np.eye(2 * b, dtype=bool)
-        neg = ~(pos | eye)
         if not neg.any(axis=1).all():
             return None, None, None
         batch = ContrastBatch(z=z64, positive_mask=pos, valid_negative_mask=neg)
@@ -159,8 +140,9 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype))
     grad_final1 = np.zeros_like(e0)
     grad_final2 = np.zeros_like(e0)
-    np.add.at(grad_final1, rows, grad_h[0::2])
-    np.add.at(grad_final2, rows, grad_h[1::2])
+    # nodes are distinct, so each row takes one term and needs no scatter-add
+    grad_final1[rows] = grad_h[0::2]
+    grad_final2[rows] = grad_h[1::2]
     grad_e0 = _propagate_raw(grad_final1, adj1, L) + _propagate_raw(grad_final2, adj2, L)
     return loss, grad_e0, head_grads
 
@@ -177,10 +159,8 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
 
     Returns (state, head, loss_curve) with one mean batch loss per epoch.
     """
-    from sclrec.augment import make_views
-
     dtype = train_config.np_dtype
-    graph = build_graph(dataset.train, dataset.num_users, dataset.num_items)
+    graph = dataset.train_graph
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 101]))
     e0 = state.stacked().astype(dtype)
     if head is None:
@@ -196,8 +176,8 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     loss_curve = []
     for epoch in range(1, train_config.pretrain_epochs + 1):
         v1, v2 = make_views(graph, aug_config, sim_index, rng)
-        adj1 = _cast_adj(v1.graph, dtype)
-        adj2 = _cast_adj(v2.graph, dtype)
+        adj1 = norm_adj_as(v1.graph, dtype)
+        adj2 = norm_adj_as(v2.graph, dtype)
         batch_losses = []
         for offset, count, pair_mat in ((0, dataset.num_users, pair_user),
                                         (dataset.num_users, dataset.num_items, pair_item)):
@@ -208,8 +188,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
                     continue
                 loss, grad_e0, head_grads = contrastive_loss_and_grads(
                     e0, adj1, adj2, state.L, head, nodes, offset, pair_mat,
-                    loss_config.tau, objective=objective,
-                    denominator=loss_config.denominator)
+                    loss_config.tau, denominator=loss_config.denominator)
                 if loss is None:
                     logger.warning("epoch %d: degenerate contrastive batch at "
                                    "offset %d (no valid negatives or zero-norm "
@@ -304,8 +283,8 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     list of (epoch, mean_loss, ndcg10-or-None).
     """
     dtype = train_config.np_dtype
-    graph = build_graph(dataset.train, dataset.num_users, dataset.num_items)
-    adj = _cast_adj(graph, dtype)
+    graph = dataset.train_graph
+    adj = norm_adj_as(graph, dtype)
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 202]))
     nu = dataset.num_users
     e0 = state.stacked().astype(dtype)

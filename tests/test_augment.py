@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,22 @@ def test_similarity_load_bad_magic(tmp_path):
     path.write_bytes(b"NOTSIM00" + b"\0" * 8)
     with pytest.raises(ValueError, match="magic"):
         load_similarity(path)
+
+
+def test_similarity_load_rejects_cut_and_extended_files(tmp_path):
+    g = build_graph([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], 3, 2)
+    path = tmp_path / "sim.sclsim"
+    save_similarity(compute_similarity(g, top_n=2), path)
+    data = path.read_bytes()
+    boundaries, offset = [8, 16], 16
+    for _ in range(3 + 2):  # one neighbor list per user, then per item
+        (count,) = struct.unpack_from("<I", data, offset)
+        offset += 4 + 8 * count
+        boundaries += [offset - 8 * count, offset]
+    assert offset == len(data)
+    cuts = {c for b in boundaries for c in (b - 1, b, b + 1) if 0 <= c < len(data)}
+    for size, content in [(c, data[:c]) for c in sorted(cuts)] + [(len(data) + 1, data + b"\0")]:
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load_similarity(path)
+        assert str(info.value).startswith(f"{path}: similarity file is {size} bytes, expected ")

@@ -145,3 +145,51 @@ def test_inspect_checkpoint(tmp_path, data_file, capsys):
     assert main(["inspect-checkpoint", str(tmp_path / "out" / "checkpoint.sclckpt")]) == 0
     out = capsys.readouterr().out
     assert "num_users=12" in out and "d=8" in out and "L=2" in out
+
+
+def count_build_graph(monkeypatch):
+    """Counts build_graph calls at every sclrec module that imported it."""
+    import sys
+
+    import sclrec.dataset
+
+    original, calls = sclrec.dataset.build_graph, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sclrec") and getattr(module, "build_graph", None) is original:
+            monkeypatch.setattr(module, "build_graph", counting)
+    return calls
+
+
+@pytest.mark.parametrize("method, builds", [("lightgcn", 1), ("scl-ed", 1 + 2 * 2)])
+def test_run_builds_train_graph_once(tmp_path, data_file, monkeypatch, method, builds):
+    # one training graph per run; pretraining adds two views per epoch (2 epochs)
+    calls = count_build_graph(monkeypatch)
+    cfg = write_config(tmp_path, data_file, method=method)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"1\t2\t3\t0\n1 3 3 0\n", "line 2: expected 4 tab-separated fields, got 1"),
+    (b"1\t2\t3\t0\n1\t\xe93\t3\t0\n", "line 2: non-ASCII byte"),
+], ids=["malformed", "non-ascii"])
+def test_run_bad_data_one_line_exit_1_no_out_dir(tmp_path, capsys, content, message):
+    data = tmp_path / "u.data"
+    data.write_bytes(content)
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_missing_data_leaves_no_out_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path, tmp_path / "nope.data")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

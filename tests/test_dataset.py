@@ -37,6 +37,16 @@ def test_load_malformed_line_names_lineno(tmp_path):
         load_ml100k(path)
 
 
+def test_load_errors_name_path_and_line(tmp_path):
+    path = tmp_path / "u.data"
+    for content, message in ((b"1\t1\t5\t0\n1 2 5 0\n", "expected 4 tab-separated fields"),
+                             (b"1\t1\t5\t0\n2\t1\t5\t0\xff\n", "non-ASCII byte")):
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as info:
+            load_ml100k(path)
+        assert str(info.value).startswith(f"{path}: line 2: {message}")
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("")

@@ -3,9 +3,8 @@ import pytest
 
 from sclrec.dataset import build_graph
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_embeddings, init_head,
-                        load_checkpoint, predict, project, project_backward,
-                        project_forward, propagate, propagate_backward,
-                        save_checkpoint)
+                        load_checkpoint, project_backward, project_forward, propagate,
+                        propagate_backward, save_checkpoint)
 
 from conftest import random_bipartite
 
@@ -106,13 +105,13 @@ def test_propagate_backward_is_adjoint(rng):
 
 def test_project_zero_head():
     head = ProjectionHead(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(3))
-    assert np.array_equal(project(np.ones(3), head), np.zeros(3))
+    assert np.array_equal(project_forward(np.ones(3), head)[0], np.zeros(3))
 
 
 def test_project_identity_passthrough():
     head = ProjectionHead(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
     h = np.array([0.5, 2.0, 0.0])
-    assert np.allclose(project(h, head), h)
+    assert np.allclose(project_forward(h, head)[0], h)
 
 
 def test_project_matches_handrolled(rng):
@@ -120,7 +119,7 @@ def test_project_matches_handrolled(rng):
     head = init_head(d, dh, dp, seed=8)
     h = rng.normal(size=d)
     ref = head.w2.T @ np.maximum(head.w1.T @ h + head.b1, 0.0) + head.b2
-    assert np.allclose(project(h, head), ref, rtol=1e-12)
+    assert np.allclose(project_forward(h, head)[0], ref, rtol=1e-12)
 
 
 def test_project_backward_finite_differences(rng):
@@ -148,16 +147,6 @@ def test_project_backward_finite_differences(rng):
             dn = (project_forward(h, head)[0] * gz).sum()
             arr[idx] = orig
             assert (up - dn) / (2 * eps) == pytest.approx(grads[name][idx], rel=1e-4, abs=1e-8)
-
-
-def test_predict():
-    e = np.zeros(4)
-    e[2] = 1.0
-    assert predict(e, e) == 1.0
-    assert predict(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert predict(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-    with pytest.raises(ValueError):
-        predict(np.zeros(2), np.zeros(3))
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_embeddings, init_head
-from sclrec.loss import LossConfig, bpr_loss
+from sclrec.loss import LossConfig, bpr_loss, s_info_nce
 from sclrec.train import (AdamState, TrainConfig, adam_step, bpr_loss_and_grads,
                           contrastive_loss_and_grads, finetune, pretrain,
                           _similar_pairs_matrix)
@@ -145,81 +145,65 @@ def test_pretrain_end_to_end_gradient_check():
         assert num == pytest.approx(grad_e0[r, c], rel=1e-3, abs=1e-8)
 
 
-def test_bpr_end_to_end_gradient_check():
-    # finite differences through full-graph propagation + inner product + BPR
-    from sclrec.loss import bpr_loss
-    from sclrec.train import _propagate_raw
+def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
+    # row 2s + a is view a of nodes[s]; rows of distinct views are positives
+    # exactly when pair_mat pairs their nodes
+    import sclrec.train as train
 
-    rng = np.random.default_rng(2)
-    nu, ni, d, L = 6, 7, 4, 3
-    edges = [(u, i) for u in range(nu) for i in range(ni) if rng.random() < 0.4]
-    adj = build_graph(edges, nu, ni).norm_adj
-    e0 = rng.normal(0, 0.1, size=(nu + ni, d))
-    bu = np.array([0, 1, 2])
-    bi = np.array([nu + 1, nu + 2, nu + 0])
-    bj = np.array([nu + 3, nu + 4, nu + 5])
-    lam = 0.01
-
-    def loss_of(e):
-        final = _propagate_raw(e, adj, L)
-        yp = np.einsum("td,td->t", final[bu], final[bi])
-        yn = np.einsum("td,td->t", final[bu], final[bj])
-        sq = float((e[bu] ** 2).sum() + (e[bi] ** 2).sum() + (e[bj] ** 2).sum())
-        return bpr_loss(yp, yn, sq, lam)[0] / len(bu)
-
-    final = _propagate_raw(e0, adj, L)
-    fu, fi, fj = final[bu], final[bi], final[bj]
-    yp = np.einsum("td,td->t", fu, fi)
-    yn = np.einsum("td,td->t", fu, fj)
-    _, gp, gn = bpr_loss(yp, yn, 0.0, lam)
-    gp, gn = gp / len(bu), gn / len(bu)
-    grad_final = np.zeros_like(e0)
-    np.add.at(grad_final, bu, gp[:, None] * fi + gn[:, None] * fj)
-    np.add.at(grad_final, bi, gp[:, None] * fu)
-    np.add.at(grad_final, bj, gn[:, None] * fu)
-    grad = _propagate_raw(grad_final, adj, L)
-    reg = 2 * lam / len(bu)
-    np.add.at(grad, bu, reg * e0[bu])
-    np.add.at(grad, bi, reg * e0[bi])
-    np.add.at(grad, bj, reg * e0[bj])
-    eps = 1e-6
-    for r in range(nu + ni):
-        for c in range(d):
-            ep, em = e0.copy(), e0.copy()
-            ep[r, c] += eps
-            em[r, c] -= eps
-            num = (loss_of(ep) - loss_of(em)) / (2 * eps)
-            assert num == pytest.approx(grad[r, c], rel=1e-3, abs=1e-9)
+    ds = toy_dataset(num_users=8, num_items=10, seed=15, with_test=False)
+    graph = build_graph(ds.train, ds.num_users, ds.num_items)
+    neighbors = [((5, 0.9),), (), ((6, 0.5),), ((7, 0.4), (0, 0.3)), (), (), (), ()]
+    pair = _similar_pairs_matrix(neighbors, ds.num_users)
+    nodes = np.array([5, 1, 7, 3, 0, 2])
+    seen = []
+    monkeypatch.setattr(train, "s_info_nce",
+                        lambda batch, *a, **kw: seen.append(batch) or s_info_nce(batch, *a, **kw))
+    e0 = np.random.default_rng(3).normal(0, 0.1, size=(graph.num_nodes, 4))
+    head = init_head(4, 4, 4, seed=1)
+    head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
+    loss, _, _ = contrastive_loss_and_grads(e0, graph.norm_adj, graph.norm_adj, 2, head,
+                                            nodes, 0, pair, tau=0.5)
+    assert loss is not None and len(seen) == 1
+    n = 2 * len(nodes)
+    pos = np.zeros((n, n), dtype=bool)
+    for r in range(n):
+        for c in range(n):
+            pos[r, c] = r != c and pair[nodes[r // 2], nodes[c // 2]]
+    assert pos.any() and not pos.all(axis=1).any()
+    assert np.array_equal(seen[0].positive_mask, pos)
+    assert np.array_equal(seen[0].valid_negative_mask, ~pos & ~np.eye(n, dtype=bool))
 
 
 def test_bpr_loss_and_grads_finite_differences():
-    # users 0 and 2 repeat, positive item 1 repeats, item 2 is a positive in
-    # one triple and a negative in two others
-    rng = np.random.default_rng(5)
-    nu, ni, d, L = 4, 6, 3, 2
-    edges = [(u, i) for u in range(nu) for i in range(ni) if rng.random() < 0.5]
-    adj = build_graph(edges, nu, ni).norm_adj
-    e0 = rng.normal(0, 0.3, size=(nu + ni, d))
-    bu = np.array([0, 0, 1, 2, 0, 2])
-    bi = nu + np.array([1, 1, 2, 3, 4, 1])
-    bj = nu + np.array([2, 5, 0, 2, 5, 3])
-    lam = 0.05
-    loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam)
-    dense = adj.toarray()
-    final = sum(np.linalg.matrix_power(dense, k) for k in range(L + 1)) @ e0 / (L + 1)
-    margin = (final[bu] * (final[bi] - final[bj])).sum(axis=1)
-    sq = (e0[bu] ** 2).sum() + (e0[bi] ** 2).sum() + (e0[bj] ** 2).sum()
-    assert loss == pytest.approx((np.log1p(np.exp(-margin)).sum() + lam * sq) / len(bu),
-                                 rel=1e-12)
-    eps = 1e-6
-    for r in range(nu + ni):
-        for c in range(d):
-            ep, em = e0.copy(), e0.copy()
-            ep[r, c] += eps
-            em[r, c] -= eps
-            num = (bpr_loss_and_grads(ep, adj, L, bu, bi, bj, lam)[0]
-                   - bpr_loss_and_grads(em, adj, L, bu, bi, bj, lam)[0]) / (2 * eps)
-            assert num == pytest.approx(grad[r, c], rel=1e-5, abs=1e-10)
+    # first input: users 0 and 2 repeat, positive item 1 repeats, item 2 is a
+    # positive in one triple and a negative in two others; second input: three
+    # triples with distinct nodes through L = 3 layers
+    cases = [  # seed, nu, ni, d, L, edge p, e0 scale, bu, bi, bj (item ids), lambda
+        (5, 4, 6, 3, 2, 0.5, 0.3, [0, 0, 1, 2, 0, 2], [1, 1, 2, 3, 4, 1], [2, 5, 0, 2, 5, 3], 0.05),
+        (2, 6, 7, 4, 3, 0.4, 0.1, [0, 1, 2], [1, 2, 0], [3, 4, 5], 0.01),
+    ]
+    for seed, nu, ni, d, L, p, scale, bu, bi, bj, lam in cases:
+        rng = np.random.default_rng(seed)
+        edges = [(u, i) for u in range(nu) for i in range(ni) if rng.random() < p]
+        adj = build_graph(edges, nu, ni).norm_adj
+        e0 = rng.normal(0, scale, size=(nu + ni, d))
+        bu, bi, bj = np.array(bu), nu + np.array(bi), nu + np.array(bj)
+        loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam)
+        dense = adj.toarray()
+        final = sum(np.linalg.matrix_power(dense, k) for k in range(L + 1)) @ e0 / (L + 1)
+        margin = (final[bu] * (final[bi] - final[bj])).sum(axis=1)
+        sq = (e0[bu] ** 2).sum() + (e0[bi] ** 2).sum() + (e0[bj] ** 2).sum()
+        assert loss == pytest.approx((np.log1p(np.exp(-margin)).sum() + lam * sq) / len(bu),
+                                     rel=1e-12)
+        eps = 1e-6
+        for r in range(nu + ni):
+            for c in range(d):
+                ep, em = e0.copy(), e0.copy()
+                ep[r, c] += eps
+                em[r, c] -= eps
+                num = (bpr_loss_and_grads(ep, adj, L, bu, bi, bj, lam)[0]
+                       - bpr_loss_and_grads(em, adj, L, bu, bi, bj, lam)[0]) / (2 * eps)
+                assert num == pytest.approx(grad[r, c], rel=1e-5, abs=1e-10)
 
 
 def reference_finetune(dataset, state, lambda_l2, cfg):
