@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph, build_graph
+from sclrec.metrics import top_k
 
 SIM_MAGIC = b"SCLSIM1\0"
 
@@ -60,15 +61,6 @@ class SimilarityIndex:
     top_n: int = field(default=0, compare=False)
 
 
-def _interaction_matrix(graph: BipartiteGraph) -> sp.csr_matrix:
-    if graph.edges:
-        rows = np.fromiter((u for u, _ in graph.edges), dtype=np.int64, count=len(graph.edges))
-        cols = np.fromiter((i for _, i in graph.edges), dtype=np.int64, count=len(graph.edges))
-        data = np.ones(len(graph.edges))
-        return sp.csr_matrix((data, (rows, cols)), shape=(graph.num_users, graph.num_items))
-    return sp.csr_matrix((graph.num_users, graph.num_items), dtype=np.float64)
-
-
 def _top_n_neighbors(mat: sp.csr_matrix, top_n: int):
     """Top-N cosine neighbors per row of a binary matrix; self excluded.
 
@@ -76,30 +68,24 @@ def _top_n_neighbors(mat: sp.csr_matrix, top_n: int):
     get an empty list and score 0 against everyone else.
     """
     n = mat.shape[0]
-    counts = (mat @ mat.T).toarray()
     deg = np.asarray(mat.sum(axis=1)).ravel()
     inv = np.zeros(n)
     inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    scores = counts * inv[:, None] * inv[None, :]
-    out = []
-    ids = np.arange(n)
-    for a in range(n):
-        if deg[a] == 0:
-            out.append(())
-            continue
-        row = scores[a].copy()
-        row[a] = -np.inf  # self excluded
-        # descending score, ties by ascending id
-        order = np.lexsort((ids, -row))[: min(top_n, n - 1)]
-        out.append(tuple((int(b), float(scores[a, b])) for b in order))
-    return tuple(out)
+    scores = (mat @ mat.T).toarray() * inv[:, None] * inv[None, :]
+    np.fill_diagonal(scores, -np.inf)  # self excluded
+    top = top_k(scores, min(top_n, n - 1))
+    ids = top.tolist()
+    values = np.take_along_axis(scores, top, axis=1).tolist()
+    return tuple(tuple(zip(ids[a], values[a])) if deg[a] > 0 else () for a in range(n))
 
 
 def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
     """User-side and item-side cosine similarity, each side computed separately."""
     if graph.num_users < 2 or graph.num_items < 2:
         raise ValueError("similarity needs at least 2 users and 2 items")
-    mat = _interaction_matrix(graph)
+    nu = graph.num_users
+    # binary user x item matrix; float so that its products count (a bool product ORs)
+    mat = (graph.norm_adj[:nu, nu:] > 0).astype(np.float64)
     return SimilarityIndex(
         user_neighbors=_top_n_neighbors(mat, top_n),
         item_neighbors=_top_n_neighbors(mat.T.tocsr(), top_n),

@@ -61,6 +61,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
 
 
 class ConfigError(ValueError):
@@ -69,7 +71,6 @@ class ConfigError(ValueError):
 
 def parse_config(text: str) -> RunConfig:
     """Flat `key = value` lines; `#` starts a comment; unknown keys rejected."""
-    known = {f.name: f.type for f in fields(RunConfig)}
     types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -80,7 +81,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
             values[key] = types[key](val)
@@ -139,12 +140,18 @@ def cmd_run(config: RunConfig) -> int:
     if config.method.startswith("scl-"):
         sim_index = compute_similarity(graph, config.top_n)
         save_similarity(sim_index, out / "similarity.sclsim")
-    if config.method != "lightgcn":
-        objective = "infonce" if config.method == "sgl" else "s_infonce"
-        state, head, _curve = pretrain(dataset, sim_index, aug, state, head,
-                                       loss_cfg, train_cfg, objective=objective,
-                                       log_fn=log_fn)
-    state, _history = finetune(dataset, state, loss_cfg, train_cfg, log_fn=log_fn)
+    stage = "pretrain"
+    try:
+        if config.method != "lightgcn":
+            objective = "infonce" if config.method == "sgl" else "s_infonce"
+            state, head, _curve = pretrain(dataset, sim_index, aug, state, head,
+                                           loss_cfg, train_cfg, objective=objective,
+                                           log_fn=log_fn)
+        stage = "finetune"
+        state, _history = finetune(dataset, state, loss_cfg, train_cfg, log_fn=log_fn)
+    except FloatingPointError as exc:  # adam_step's non-finite gradient check
+        print(f"error: {stage}: {exc}", file=sys.stderr)
+        return 1
 
     save_checkpoint(out / "checkpoint.sclckpt", state, head)
     prop = propagate(state, graph)

@@ -92,29 +92,16 @@ def _cosine_backward(grad_s: np.ndarray, z_hat: np.ndarray, norms: np.ndarray) -
 
 
 def info_nce(z: np.ndarray, tau: float):
-    """NT-Xent over interleaved co-view pairs: rows 2t and 2t+1 are partners.
-
-    Mean over all 2N ordered pairs of -log softmax(sim(i, partner) / tau) with
-    the softmax running over all k != i. Returns (loss, grad_z).
-    """
+    """NT-Xent over interleaved co-view pairs (rows 2t and 2t+1 are partners):
+    `s_info_nce` with the partner as each row's one positive, denominator="all"."""
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if n < 2 or n % 2 != 0:
         raise ValueError("need an even number >= 2 of rows")
-    z_hat, norms = _normalize_rows(z)
-    s = (z_hat @ z_hat.T) / tau
-    np.fill_diagonal(s, -np.inf)
-    partner = np.arange(n) ^ 1
-    row_max = s.max(axis=1, keepdims=True)
-    ex = np.exp(s - row_max)
-    denom = ex.sum(axis=1, keepdims=True)
-    p = ex / denom  # softmax over k != i (diagonal holds exact zeros)
-    losses = -(s[np.arange(n), partner] - row_max.ravel() - np.log(denom.ravel()))
-    loss = float(losses.mean())
-    grad_s = p.copy()
-    grad_s[np.arange(n), partner] -= 1.0
-    grad_s /= n * tau
-    return loss, _cosine_backward(grad_s, z_hat, norms)
+    pos = np.zeros((n, n), dtype=bool)
+    pos[np.arange(n), np.arange(n) ^ 1] = True
+    neg = ~(pos | np.eye(n, dtype=bool))
+    return s_info_nce(ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg), tau, "all")
 
 
 def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives"):
@@ -131,25 +118,31 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
     n = z.shape[0]
     if not batch.positive_mask.any(axis=1).all():
         raise ValueError("every anchor needs at least one positive")
-    neg_mask = batch.valid_negative_mask if denominator == "negatives" \
-        else ~np.eye(n, dtype=bool)
-    if not neg_mask.any(axis=1).all():
+    if denominator == "negatives" and not batch.valid_negative_mask.any(axis=1).all():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
     s = (z_hat @ z_hat.T) / tau
-
-    def masked_lse(mask):
-        masked = np.where(mask, s, -np.inf)
-        m = masked.max(axis=1, keepdims=True)
-        ex = np.exp(masked - m)
-        total = ex.sum(axis=1, keepdims=True)
-        return (m + np.log(total)).ravel(), ex / total  # logsumexp and softmax
-
-    lse_pos, p_pos = masked_lse(batch.positive_mask)
-    lse_neg, p_neg = masked_lse(neg_mask)
+    rows, cols = np.nonzero(batch.positive_mask)  # row-major, so rows ascend
+    starts = np.searchsorted(rows, np.arange(n))
+    s_pos = s[rows, cols]
+    m_pos = np.maximum.reduceat(s_pos, starts)
+    ex_pos = np.exp(s_pos - m_pos[rows])
+    total_pos = np.add.reduceat(ex_pos, starts)
+    if denominator == "negatives":
+        s[rows, cols] = -np.inf
+    np.fill_diagonal(s, -np.inf)
+    # the denominator's own max: a row total minus the positives can cancel to 0 at small tau
+    m = s.max(axis=1, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    total = s.sum(axis=1, keepdims=True)
+    s /= total  # softmax over the denominator
+    lse_pos = m_pos + np.log(total_pos)
+    lse_neg = (m + np.log(total)).ravel()
     loss = float((lse_neg - lse_pos).mean())
-    grad_s = (p_neg - p_pos) / (n * tau)
-    return loss, _cosine_backward(grad_s, z_hat, norms)
+    s[rows, cols] -= ex_pos / total_pos[rows]
+    s /= n * tau
+    return loss, _cosine_backward(s, z_hat, norms)
 
 
 # Naive double-loop references; oracles for the vectorized losses.

@@ -102,7 +102,7 @@ def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset,
         rows = np.searchsorted(block, train_users[lo:hi])
         own = block[rows] == train_users[lo:hi]
         scores[rows[own], train_items[lo:hi][own]] = -np.inf
-        top = _top_k(scores, k_max)
+        top = top_k(scores, k_max)
         hits[start:start + len(block)] = in_sorted(test_keys, block[:, None] * num_items + top)
     gain = np.cumsum(hits * discount, axis=1)
     precision = np.cumsum(hits * (np.cumsum(hits, axis=1) / ranks), axis=1)
@@ -123,7 +123,7 @@ def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset,
                          num_users=n)
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Column ids of each row's k best entries, by score descending then id
     ascending; ties at the k-th score are resolved exactly."""
     kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k]

@@ -159,6 +159,10 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
 
     Returns (state, head, loss_curve) with one mean batch loss per epoch.
     """
+    if objective not in ("infonce", "s_infonce"):
+        raise ValueError(f"unknown objective {objective!r}; expected 'infonce' or 's_infonce'")
+    if objective == "s_infonce" and sim_index is None:
+        raise ValueError("objective 's_infonce' needs a similarity index")
     dtype = train_config.np_dtype
     graph = dataset.train_graph
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 101]))
@@ -170,7 +174,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
     adam = AdamState(params)
     pair_user = pair_item = None
-    if objective != "infonce":
+    if objective == "s_infonce":
         pair_user = _similar_pairs_matrix(sim_index.user_neighbors, dataset.num_users)
         pair_item = _similar_pairs_matrix(sim_index.item_neighbors, dataset.num_items)
     loss_curve = []

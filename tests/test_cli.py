@@ -193,3 +193,27 @@ def test_run_missing_data_leaves_no_out_dir(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ratio", ["0", "1", "1.5"])
+def test_run_split_ratio_out_of_range_exit_2(tmp_path, data_file, capsys, ratio):
+    cfg = write_config(tmp_path, data_file, split_ratio=ratio)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: split_ratio must be in (0, 1), got {float(ratio)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, stage", [
+    ("lightgcn", "finetune"), ("sgl", "pretrain"), ("scl-nr", "pretrain")])
+def test_run_non_finite_gradient_one_error_line_exit_1(tmp_path, data_file, capsys,
+                                                        method, stage):
+    # lr = 1e30 overflows the embeddings after one Adam step; the next batch's
+    # gradient is not finite
+    cfg = write_config(tmp_path, data_file, method=method, lr="1e30")
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {stage}: non-finite gradient for parameter 'emb'"]
+    assert not (tmp_path / "out" / "report.csv").exists()

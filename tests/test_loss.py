@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sclrec.loss import (ContrastBatch, LossConfig, bpr_loss, info_nce,
                          info_nce_reference, s_info_nce, s_info_nce_reference)
@@ -262,3 +266,86 @@ def test_s_info_nce_error_cases():
     batch = ContrastBatch(z, pos, neg)
     with pytest.raises(ValueError, match="denominator"):
         s_info_nce(batch, 1.0)
+
+
+@st.composite
+def contrast_cases(draw):
+    """Random symmetric positive masks over interleaved co-view pairs (every
+    row keeps its partner), so rows range from one positive to a single
+    negative; rows, tau and the denominator mode drawn alongside."""
+    n = 2 * draw(st.integers(1, 5))
+    upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pos = np.zeros((n, n), dtype=bool)
+    pos[np.triu_indices(n, 1)] = upper
+    pos |= pos.T
+    pos[np.arange(n), np.arange(n) ^ 1] = True
+    neg = ~(pos | np.eye(n, dtype=bool))
+    mode = draw(st.sampled_from(("negatives", "all")))
+    if mode == "negatives":
+        assume(neg.any(axis=1).all())
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, 3))
+    tau = draw(st.floats(0.01, 2.0))
+    return ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg), tau, mode
+
+
+def assert_radial_free(grad, z):
+    # the losses are scale-invariant in each row, so each row's gradient is
+    # orthogonal to the row
+    scale = np.abs(grad).sum(axis=1) * np.abs(z).sum(axis=1)
+    assert np.all(np.abs((grad * z).sum(axis=1)) <= 1e-12 * (1.0 + scale))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(contrast_cases())
+def test_s_info_nce_and_info_nce_match_references_property(case):
+    batch, tau, mode = case
+    loss, grad = s_info_nce(batch, tau, denominator=mode)
+    ref = s_info_nce_reference(batch, tau, denominator=mode)
+    assert loss == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    assert_radial_free(grad, batch.z)
+    loss_i, grad_i = info_nce(batch.z, tau)
+    assert loss_i == pytest.approx(info_nce_reference(batch.z, tau), rel=1e-9, abs=1e-9)
+    assert_radial_free(grad_i, batch.z)
+
+
+def test_s_info_nce_anti_aligned_negatives_small_tau():
+    # each anchor: one positive at cosine 1, two negatives at cosine -1, so
+    # loss = log(2 e^-100) - log(e^100) = log 2 - 200 at tau = 0.01; the
+    # negatives' terms are e^-200 of the positive's
+    v = np.array([0.6, -0.8, 0.0])
+    z = np.stack([v, 2.0 * v, -v, -0.5 * v])
+    pos = np.kron(np.eye(2, dtype=bool), ~np.eye(2, dtype=bool))
+    neg = ~(pos | np.eye(4, dtype=bool))
+    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    loss, grad = s_info_nce(batch, 0.01)
+    assert loss == pytest.approx(np.log(2.0) - 200.0, rel=1e-12)
+    assert loss == pytest.approx(s_info_nce_reference(batch, 0.01), rel=1e-12)
+    assert np.isfinite(grad).all()
+
+
+def peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_contrastive_losses_peak_memory_bound():
+    # 1,024 anchors, two views each: the losses hold at most three n x n
+    # float64 arrays at once (bound 96 MiB)
+    rng = np.random.default_rng(10)
+    n_anchors = 1024
+    n = 2 * n_anchors
+    z = rng.normal(size=(n, 16))
+    pair = rng.random((n_anchors, n_anchors)) < 10 / n_anchors
+    pair |= pair.T
+    np.fill_diagonal(pair, True)
+    pos = np.kron(pair, np.ones((2, 2), dtype=bool))
+    np.fill_diagonal(pos, False)
+    neg = ~(pos | np.eye(n, dtype=bool))
+    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    bound = 3 * n * n * 8
+    assert peak_bytes(s_info_nce, batch, 0.2) <= bound
+    assert peak_bytes(info_nce, z, 0.2) <= bound

@@ -400,3 +400,17 @@ def test_pretrain_log_lines():
     pretrain(ds, sim, AugmentationConfig(method="ND"), state, None, LossConfig(),
              small_train_config(pretrain_epochs=2), log_fn=lines.append)
     assert lines and all(line.startswith("stage=pretrain epoch=") for line in lines)
+
+
+@pytest.mark.parametrize("objective, with_sim, message", [
+    ("info_nce", True, "unknown objective 'info_nce'"),
+    ("s_infonce", False, "needs a similarity index"),
+], ids=["typo", "no-similarity"])
+def test_pretrain_rejects_bad_objective(objective, with_sim, message):
+    ds = toy_dataset(seed=5)
+    graph = build_graph(ds.train, ds.num_users, ds.num_items)
+    sim = compute_similarity(graph, 3) if with_sim else None
+    state = init_embeddings(ds.num_users, ds.num_items, 6, seed=1)
+    with pytest.raises(ValueError, match=message):
+        pretrain(ds, sim, AugmentationConfig(method="ED"), state, None,
+                 LossConfig(), small_train_config(pretrain_epochs=1), objective=objective)
