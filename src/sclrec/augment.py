@@ -98,22 +98,20 @@ def node_drop(graph: BipartiteGraph, rho1: float, rng: np.random.Generator) -> A
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
     mask = rng.random(graph.num_nodes) < rho1
-    dropped = np.flatnonzero(mask)
-    dropped_set = set(int(x) for x in dropped)
-    kept = [e for e in graph.edges
-            if e[0] not in dropped_set and graph.num_users + e[1] not in dropped_set]
-    g = build_graph(kept, graph.num_users, graph.num_items)
-    return AugmentedView(graph=g, dropped_nodes=tuple(int(x) for x in dropped))
+    edges = graph.edge_array()
+    kept = ~(mask[edges[:, 0]] | mask[graph.num_users + edges[:, 1]])
+    g = build_graph(edges[kept], graph.num_users, graph.num_items)
+    return AugmentedView(graph=g, dropped_nodes=tuple(np.flatnonzero(mask).tolist()))
 
 
 def edge_drop(graph: BipartiteGraph, rho2: float, rng: np.random.Generator) -> AugmentedView:
     """Drop each edge independently with probability rho2; node set untouched."""
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
-    mask = rng.random(len(graph.edges)) < rho2
-    kept = [e for e, m in zip(graph.edges, mask) if not m]
-    g = build_graph(kept, graph.num_users, graph.num_items)
-    return AugmentedView(graph=g, dropped_edge_indices=tuple(int(x) for x in np.flatnonzero(mask)))
+    edges = graph.edge_array()
+    mask = rng.random(len(edges)) < rho2
+    g = build_graph(edges[~mask], graph.num_users, graph.num_items)
+    return AugmentedView(graph=g, dropped_edge_indices=tuple(np.flatnonzero(mask).tolist()))
 
 
 def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
@@ -130,46 +128,43 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     """
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
-    user_items = [[] for _ in range(graph.num_users)]
-    item_users = [[] for _ in range(graph.num_items)]
-    for u, i in graph.edges:
-        user_items[u].append(i)
-        item_users[i].append(u)
-
+    nu, ni = graph.num_users, graph.num_items
+    # a node's partners are its CSR row: stacked ids of the other side, ascending
+    indptr, indices = graph.norm_adj.indptr, graph.norm_adj.indices.astype(np.int64)
     selected = rng.random(graph.num_nodes) < rho3
-    removed, added, provenance = set(), set(), []
-
-    def replicate(node, partners, neighbors, as_user):
-        if not partners or not neighbors:
-            return
+    is_partner = np.zeros(graph.num_nodes, dtype=bool)
+    removed, added, provenance = [], [], []
+    for node in np.flatnonzero(selected).tolist():  # users, then items
+        as_user = node < nu
+        partners = indices[indptr[node]:indptr[node + 1]]
+        neighbors = (sim_index.user_neighbors[node] if as_user
+                     else sim_index.item_neighbors[node - nu])
+        if not len(partners) or not neighbors:
+            continue
         k = min(k_segments, len(partners))
-        segments = np.array_split(np.array(sorted(partners)), k)
-        seg = segments[int(rng.integers(k))]
-        donor = neighbors[int(rng.integers(len(neighbors)))][0]
-        donor_partners = user_items[donor] if as_user else item_users[donor]
-        novel = sorted(set(donor_partners) - set(partners))
+        size, extra = divmod(len(partners), k)  # np.array_split's segment sizes
+        s = int(rng.integers(k))
+        start = s * size + min(s, extra)
+        seg = partners[start:start + size + (s < extra)]
+        donor = neighbors[int(rng.integers(len(neighbors)))][0] + (0 if as_user else nu)
+        is_partner[partners] = True
+        donor_partners = indices[indptr[donor]:indptr[donor + 1]]
+        novel = donor_partners[~is_partner[donor_partners]]
+        is_partner[partners] = False
         n_add = min(len(seg), len(novel))
         picks = rng.choice(len(novel), size=n_add, replace=False) if n_add else []
-        if as_user:
-            rem = {(node, int(p)) for p in seg}
-            add = {(node, novel[int(p)]) for p in picks}
-        else:
-            rem = {(int(p), node) for p in seg}
-            add = {(novel[int(p)], node) for p in picks}
-        removed.update(rem)
-        added.update(add)
-        provenance.append((int(node) if as_user else graph.num_users + int(node),
-                           tuple(sorted(rem)), tuple(sorted(add))))
-
-    for u in range(graph.num_users):
-        if selected[u]:
-            replicate(u, user_items[u], sim_index.user_neighbors[u], as_user=True)
-    for i in range(graph.num_items):
-        if selected[graph.num_users + i]:
-            replicate(i, item_users[i], sim_index.item_neighbors[i], as_user=False)
-
-    new_edges = (set(graph.edges) - removed) | added
-    g = build_graph(new_edges, graph.num_users, graph.num_items)
+        record = []
+        for others, out in ((seg, removed), (np.sort(novel[picks]), added)):
+            users, items = ((np.full(len(others), node), others - nu) if as_user
+                            else (others, np.full(len(others), node - nu)))
+            out.append(users * ni + items)
+            record.append(tuple(zip(users.tolist(), items.tolist())))
+        provenance.append((node, *record))
+    edges = graph.edge_array()
+    keys = edges[:, 0] * ni + edges[:, 1]
+    if removed:
+        keys = np.concatenate([keys[~np.isin(keys, np.concatenate(removed))], *added])
+    g = build_graph(np.stack(np.divmod(keys, ni), axis=1), nu, ni)
     return AugmentedView(graph=g, replications=tuple(provenance))
 
 

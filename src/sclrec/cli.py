@@ -141,14 +141,15 @@ def cmd_run(config: RunConfig) -> int:
         sim_index = compute_similarity(graph, config.top_n)
         save_similarity(sim_index, out / "similarity.sclsim")
     stage = "pretrain"
-    try:
-        if config.method != "lightgcn":
-            objective = "infonce" if config.method == "sgl" else "s_infonce"
-            state, head, _curve = pretrain(dataset, sim_index, aug, state, head,
-                                           loss_cfg, train_cfg, objective=objective,
-                                           log_fn=log_fn)
-        stage = "finetune"
-        state, _history = finetune(dataset, state, loss_cfg, train_cfg, log_fn=log_fn)
+    try:  # overflow and NaN end in adam_step's finiteness check, reported as one line below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.method != "lightgcn":
+                objective = "infonce" if config.method == "sgl" else "s_infonce"
+                state, head, _curve = pretrain(dataset, sim_index, aug, state, head,
+                                               loss_cfg, train_cfg, objective=objective,
+                                               log_fn=log_fn)
+            stage = "finetune"
+            state, _history = finetune(dataset, state, loss_cfg, train_cfg, log_fn=log_fn)
     except FloatingPointError as exc:  # adam_step's non-finite gradient check
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1

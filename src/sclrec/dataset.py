@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,7 +44,8 @@ class InteractionDataset:
     @cached_property
     def train_graph(self) -> "BipartiteGraph":
         """The normalized graph of `train`, built once for every stage."""
-        return build_graph(self.train, self.num_users, self.num_items)
+        pairs = np.stack(np.divmod(self.train_keys, self.num_items), axis=1)
+        return build_graph(pairs, self.num_users, self.num_items)
 
     def summary(self) -> str:
         denom = self.num_users * self.num_items
@@ -63,22 +65,33 @@ def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.take(sorted_keys, np.searchsorted(sorted_keys, queries), mode="clip") == queries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """User-item graph with symmetric-normalized adjacency over the stacked node space.
 
     Node p in [0, num_users) is user p; node num_users + i is item i.
-    Degree-0 nodes contribute all-zero rows (no self loops).
+    Degree-0 nodes contribute all-zero rows (no self loops). The canonical
+    CSR is the only edge storage; graphs compare by identity.
     """
 
     num_users: int
     num_items: int
-    edges: tuple  # of (user_id, item_id), sorted
-    norm_adj: sp.csr_matrix = field(compare=False, default=None)
+    norm_adj: sp.csr_matrix
 
     @property
     def num_nodes(self) -> int:
         return self.num_users + self.num_items
+
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) int64 (user, item) rows in sorted order, read from the CSR's user rows."""
+        nu, indptr = self.num_users, self.norm_adj.indptr
+        users = np.repeat(np.arange(nu), np.diff(indptr[:nu + 1]))
+        return np.stack([users, self.norm_adj.indices[:indptr[nu]] - nu], axis=1)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Sorted (user_id, item_id) tuples; for tests and inspection only."""
+        return tuple(map(tuple, self.edge_array().tolist()))
 
 
 class ParseError(ValueError):
@@ -156,28 +169,30 @@ def split_train_test(dataset: InteractionDataset, ratio: float = 0.8, seed: int 
 
 
 def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
-    """Build A_hat = D^(-1/2) A D^(-1/2) over the stacked user+item node space."""
-    edges = sorted(set(edges))
+    """Build A_hat = D^(-1/2) A D^(-1/2) over the stacked user+item node space from
+    an (m, 2) integer array or an iterable of (user, item) pairs; duplicates collapse."""
+    if not isinstance(edges, np.ndarray):
+        edges = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+    edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
+    ue, ie = edges[:, 0], edges[:, 1]
+    bad = (ue < 0) | (ue >= num_users) | (ie < 0) | (ie >= num_items)
+    if bad.any():
+        u, i = edges[bad][np.lexsort((ie[bad], ue[bad]))[0]].tolist()
+        raise ValueError(f"edge ({u},{i}) out of range")
     n = num_users + num_items
-    for u, i in edges:
-        if not (0 <= u < num_users and 0 <= i < num_items):
-            raise ValueError(f"edge ({u},{i}) out of range")
-    if edges:
-        ue = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
-        ie = np.fromiter((num_users + i for _, i in edges), dtype=np.int64, count=len(edges))
-        deg = np.bincount(np.concatenate([ue, ie]), minlength=n).astype(np.float64)
-        inv_sqrt = np.zeros(n)
-        nz = deg > 0
-        inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-        w = inv_sqrt[ue] * inv_sqrt[ie]
-        # mirrored by construction: each edge contributes (u,i) and (i,u) with the same weight
-        rows = np.concatenate([ue, ie])
-        cols = np.concatenate([ie, ue])
-        data = np.concatenate([w, w])
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        adj = sp.csr_matrix((n, n), dtype=np.float64)
-    return BipartiteGraph(num_users=num_users, num_items=num_items, edges=tuple(edges), norm_adj=adj)
+    # sorted keys put the edges in (user, item) order; keep the first of each run
+    keys = np.sort(ue * num_items + ie)
+    ue, ie = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_items)
+    deg = np.bincount(np.concatenate([ue, num_users + ie]), minlength=n)
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    w = inv_sqrt[ue] * inv_sqrt[num_users + ie]
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    # canonical CSR: user rows take their items ascending in key order; the
+    # user block's CSC (a counting sort) gives item rows their users ascending
+    block = sp.csr_matrix((w, ie, indptr[:num_users + 1]), shape=(num_users, num_items)).tocsc()
+    adj = sp.csr_matrix((np.concatenate([w, block.data]),
+                         np.concatenate([num_users + ie, block.indices]), indptr), shape=(n, n))
+    return BipartiteGraph(num_users=num_users, num_items=num_items, norm_adj=adj)
 
 
 def dense_norm_adj(edges, num_users: int, num_items: int) -> np.ndarray:

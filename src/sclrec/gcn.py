@@ -79,13 +79,23 @@ def norm_adj_as(graph: BipartiteGraph, dtype):
     return adj if adj.dtype == dtype else adj.astype(dtype)
 
 
-def layer_mean(e0: np.ndarray, adj, L: int) -> np.ndarray:
+def layer_mean(e0: np.ndarray, adj, L: int, side=None) -> np.ndarray:
     """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
-    layers 0..L. The one propagation kernel; e0 is not modified."""
+    layers 0..L. The one propagation kernel; e0 is not modified. With
+    side=(start, stop), e0 must be zero outside those rows (one side of the
+    bipartite graph); each layer then multiplies only the half block of adj
+    that maps the current side to the other, with the full call's result."""
     acc = e0.copy()
     e = e0
-    for _ in range(L):
-        e = adj @ e
+    if side is not None:  # E^(l) lives on halves[l % 2]
+        halves = (slice(*side), slice(0, side[0]) if side[0] else slice(side[1], None))
+    for layer in range(1, L + 1):
+        if side is None:
+            e = adj @ e
+        else:
+            e_next = np.zeros_like(e0)
+            e_next[halves[layer % 2]] = adj[halves[layer % 2]] @ e
+            e = e_next
         acc += e
     acc /= L + 1
     return acc

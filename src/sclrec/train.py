@@ -95,26 +95,29 @@ def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
     top-N; diagonal true (a node's two views are mutual positives)."""
     mat = np.eye(n, dtype=bool)
     for a, neigh in enumerate(neighbors):
-        for b, _score in neigh:
-            mat[a, b] = True
-            mat[b, a] = True
-    return mat
+        mat[a, [b for b, _score in neigh]] = True
+    return mat | mat.T
 
 
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, offset: int,
                                pair_mat: np.ndarray | None, tau: float,
-                               denominator: str = "negatives"):
+                               denominator: str = "negatives", num_users: int | None = None):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     Propagates e0 through both view adjacencies, projects the batch rows of
     each view (interleaved), applies supervised InfoNCE over `pair_mat` (true
     diagonal) or, when it is None, SGL's InfoNCE, and chains the gradient
-    back to e0 and the head parameters.
+    back to e0 and the head parameters. The backward runs on the batch's side
+    of `num_users` (default: `offset` for items, len(pair_mat) for users).
 
     Returns (loss, grad_e0, head_grads); (None, None, None) when the batch has
     an anchor without any valid negative.
     """
+    if num_users is None:
+        if offset == 0 and pair_mat is None:
+            raise ValueError("num_users is needed for a user batch without pair_mat")
+        num_users = offset or len(pair_mat)
     final1 = _propagate_raw(e0, adj1, L)
     final2 = _propagate_raw(e0, adj2, L)
     rows = nodes + offset
@@ -129,8 +132,8 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     if pair_mat is None:
         loss, grad_z = info_nce(z64, tau)
     else:
-        views = np.repeat(nodes, 2)  # row 2s + a is view a of nodes[s]
-        pos = pair_mat[np.ix_(views, views)]
+        # row 2s + a is view a of nodes[s]
+        pos = np.repeat(np.repeat(pair_mat[np.ix_(nodes, nodes)], 2, axis=0), 2, axis=1)
         neg = ~pos  # pair_mat's diagonal is true, so neg's is false
         np.fill_diagonal(pos, False)
         if not neg.any(axis=1).all():
@@ -143,7 +146,9 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     # nodes are distinct, so each row takes one term and needs no scatter-add
     grad_final1[rows] = grad_h[0::2]
     grad_final2[rows] = grad_h[1::2]
-    grad_e0 = _propagate_raw(grad_final1, adj1, L) + _propagate_raw(grad_final2, adj2, L)
+    side = (0, num_users) if offset == 0 else (num_users, len(e0))
+    grad_e0 = (_propagate_raw(grad_final1, adj1, L, side=side)
+               + _propagate_raw(grad_final2, adj2, L, side=side))
     return loss, grad_e0, head_grads
 
 
@@ -192,7 +197,8 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
                     continue
                 loss, grad_e0, head_grads = contrastive_loss_and_grads(
                     e0, adj1, adj2, state.L, head, nodes, offset, pair_mat,
-                    loss_config.tau, denominator=loss_config.denominator)
+                    loss_config.tau, denominator=loss_config.denominator,
+                    num_users=dataset.num_users)
                 if loss is None:
                     logger.warning("epoch %d: degenerate contrastive batch at "
                                    "offset %d (no valid negatives or zero-norm "

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sclrec
 from sclrec.cli import (ConfigError, RunConfig, cmd_compare, config_hash,
                         emit_config, main, parse_config)
 
@@ -217,3 +223,20 @@ def test_run_non_finite_gradient_one_error_line_exit_1(tmp_path, data_file, caps
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: {stage}: non-finite gradient for parameter 'emb'"]
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("method, stage", [
+    ("lightgcn", "finetune"), ("sgl", "pretrain"), ("scl-nr", "pretrain")])
+def test_run_non_finite_gradient_stderr_is_one_line(tmp_path, data_file, method, stage):
+    # a fresh interpreter prints numpy's RuntimeWarnings to stderr as a user sees them
+    cfg = write_config(tmp_path, data_file, method=method, lr="1e30")
+    src = Path(sclrec.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    # besides the logger's own skipped-batch warnings, the error line is all of stderr
+    lines = [line for line in proc.stderr.splitlines()
+             if not (line.startswith("epoch ") and line.endswith(", skipped"))]
+    assert lines == [f"error: {stage}: non-finite gradient for parameter 'emb'"]

@@ -3,8 +3,8 @@ import pytest
 
 from sclrec.dataset import build_graph
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_embeddings, init_head,
-                        load_checkpoint, project_backward, project_forward, propagate,
-                        propagate_backward, save_checkpoint)
+                        layer_mean, load_checkpoint, project_backward, project_forward,
+                        propagate, propagate_backward, save_checkpoint)
 
 from conftest import random_bipartite
 
@@ -205,3 +205,27 @@ def test_checkpoint_size_mismatch_names_sizes(tmp_path):
 def test_init_layers():
     assert init_embeddings(2, 3, 4, seed=0).L == 3
     assert init_embeddings(2, 3, 4, seed=0, L=1).L == 1
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+def test_layer_mean_one_side_is_bit_identical_to_full(L):
+    # e0 supported on one side: multiplying only the other side's rows per layer
+    # gives the full call's bytes, zeros' signs included, on either side
+    rng = np.random.default_rng(L)
+    for _ in range(12):
+        g = random_bipartite(rng)
+        nu, n = g.num_users, g.num_nodes
+        for side in ((0, nu), (nu, n)):
+            for dtype in (np.float32, np.float64):
+                e0 = np.zeros((n, 5), dtype=dtype)
+                rows = np.arange(*side)
+                rows = rows[rng.random(len(rows)) < 0.7]
+                e0[rows] = rng.normal(size=(len(rows), 5))
+                if len(rows):
+                    e0[rows[0], 0] = -0.0
+                before = e0.copy()
+                adj = g.norm_adj.astype(dtype)
+                full = layer_mean(e0, adj, L)
+                one = layer_mean(e0, adj, L, side=side)
+                assert one.dtype == full.dtype and one.tobytes() == full.tobytes()
+                assert np.array_equal(e0, before)

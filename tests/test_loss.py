@@ -349,3 +349,18 @@ def test_contrastive_losses_peak_memory_bound():
     bound = 3 * n * n * 8
     assert peak_bytes(s_info_nce, batch, 0.2) <= bound
     assert peak_bytes(info_nce, z, 0.2) <= bound
+
+
+def test_contrast_batch_rejects_one_asymmetric_entry_far_off_diagonal():
+    # blocks of 600 rows: the entry and its mirror sit in different block pairs
+    n = 600
+    eye = np.eye(n, dtype=bool)
+    pos = np.zeros((n, n), dtype=bool)
+    pos[np.arange(n), np.arange(n) ^ 1] = True
+    z = np.ones((n, 2))
+    ContrastBatch(z, pos, ~(pos | eye))  # symmetric: valid
+    for r, c in ((3, 590), (590, 3), (300, 10), (255, 256), (5, 100)):
+        asym = pos.copy()
+        asym[r, c] = True
+        with pytest.raises(ValueError, match="positive_mask must be symmetric"):
+            ContrastBatch(z, asym, ~(asym | eye))

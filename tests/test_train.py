@@ -414,3 +414,53 @@ def test_pretrain_rejects_bad_objective(objective, with_sim, message):
     with pytest.raises(ValueError, match=message):
         pretrain(ds, sim, AugmentationConfig(method="ED"), state, None,
                  LossConfig(), small_train_config(pretrain_epochs=1), objective=objective)
+
+
+def _contrastive_case(seed=16):
+    ds = toy_dataset(num_users=9, num_items=12, seed=seed, with_test=False)
+    graph = build_graph(ds.train, ds.num_users, ds.num_items)
+    sim = compute_similarity(graph, 2)
+    rng = np.random.default_rng(seed)
+    from sclrec.augment import edge_drop
+    adj1 = edge_drop(graph, 0.2, rng).graph.norm_adj
+    adj2 = edge_drop(graph, 0.2, rng).graph.norm_adj
+    e0 = rng.normal(0, 0.1, size=(graph.num_nodes, 4))
+    head = init_head(4, 4, 4, seed=3)
+    head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
+    batches = [(np.array([4, 0, 7, 2, 8]), 0, _similar_pairs_matrix(sim.user_neighbors, 9)),
+               (np.array([11, 3, 5, 0, 6, 9]), 9, _similar_pairs_matrix(sim.item_neighbors, 12))]
+    return ds, e0, adj1, adj2, head, batches
+
+
+def test_contrastive_one_sided_backward_matches_full(monkeypatch):
+    # the one-sided backward against the full two-sided one, bit for bit, for a
+    # user and an item batch, with num_users given and inferred, SCL and SGL
+    import sclrec.gcn as gcn
+    import sclrec.train as train
+
+    ds, e0, adj1, adj2, head, batches = _contrastive_case()
+    cases = [(nodes, offset, pair_mat, num_users)
+             for nodes, offset, pair in batches for pair_mat in (pair, None)
+             for num_users in (ds.num_users, None)
+             if not (pair_mat is None and offset == 0 and num_users is None)]
+
+    def run(nodes, offset, pair_mat, num_users):
+        return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, offset, pair_mat,
+                                          0.5, num_users=num_users)
+
+    one_sided = [run(*case) for case in cases]
+    monkeypatch.setattr(train, "_propagate_raw",
+                        lambda e, adj, L, side=None: gcn.layer_mean(e, adj, L))
+    for (nodes, offset, pair_mat, _), (loss, grad, head_grads) in zip(cases, one_sided):
+        ref_loss, ref_grad, ref_head = run(nodes, offset, pair_mat, ds.num_users)
+        assert loss is not None and loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert all(np.array_equal(head_grads[name], ref_head[name]) for name in ref_head)
+    assert len(cases) == 7
+
+
+def test_contrastive_sgl_user_batch_needs_num_users():
+    ds, e0, adj1, adj2, head, batches = _contrastive_case()
+    nodes = batches[0][0]
+    with pytest.raises(ValueError, match="num_users"):
+        contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, None, 0.5)
