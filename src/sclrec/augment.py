@@ -4,12 +4,12 @@ the top-N cosine similarity index that drives replication and positive labeling.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from sclrec.dataset import BipartiteGraph, build_graph
+from sclrec.dataset import BipartiteGraph, build_graph, key_pairs
 from sclrec.metrics import top_k
 
 SIM_MAGIC = b"SCLSIM1\0"
@@ -58,7 +58,6 @@ class SimilarityIndex:
 
     user_neighbors: tuple  # tuple (per user) of tuples of (user_id, cosine)
     item_neighbors: tuple
-    top_n: int = field(default=0, compare=False)
 
 
 def _top_n_neighbors(mat: sp.csr_matrix, top_n: int):
@@ -89,7 +88,6 @@ def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
     return SimilarityIndex(
         user_neighbors=_top_n_neighbors(mat, top_n),
         item_neighbors=_top_n_neighbors(mat.T.tocsr(), top_n),
-        top_n=top_n,
     )
 
 
@@ -164,7 +162,7 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     keys = edges[:, 0] * ni + edges[:, 1]
     if removed:
         keys = np.concatenate([keys[~np.isin(keys, np.concatenate(removed))], *added])
-    g = build_graph(np.stack(np.divmod(keys, ni), axis=1), nu, ni)
+    g = build_graph(key_pairs(keys, ni), nu, ni)
     return AugmentedView(graph=g, replications=tuple(provenance))
 
 

@@ -14,7 +14,7 @@ if _threads:
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,21 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        for name, low in (("d", 1), ("layers", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        self.stage_configs()  # every other value is checked by the config it lands in
+
+    def stage_configs(self):
+        """The (AugmentationConfig, LossConfig, TrainConfig) of this run."""
+        return (AugmentationConfig(rho1=self.rho1, rho2=self.rho2, rho3=self.rho3,
+                                   k_segments=self.k_segments, top_n=self.top_n,
+                                   method=METHOD_AUG.get(self.method, "ED")),
+                LossConfig(tau=self.tau, lambda_l2=self.lambda_l2, denominator=self.denominator),
+                TrainConfig(lr=self.lr, batch_size=self.batch_size,
+                            pretrain_epochs=self.pretrain_epochs,
+                            finetune_epochs=self.finetune_epochs, seed=self.seed,
+                            eval_every=self.eval_every, patience=self.patience, dtype=self.dtype))
 
 
 class ConfigError(ValueError):
@@ -122,17 +137,7 @@ def cmd_run(config: RunConfig) -> int:
     print(dataset.summary())
     graph = dataset.train_graph
 
-    aug = AugmentationConfig(rho1=config.rho1, rho2=config.rho2, rho3=config.rho3,
-                             k_segments=config.k_segments, top_n=config.top_n,
-                             method=METHOD_AUG.get(config.method, "ED"))
-    loss_cfg = LossConfig(tau=config.tau, lambda_l2=config.lambda_l2,
-                          denominator=config.denominator)
-    train_cfg = TrainConfig(lr=config.lr, batch_size=config.batch_size,
-                            pretrain_epochs=config.pretrain_epochs,
-                            finetune_epochs=config.finetune_epochs,
-                            seed=config.seed, eval_every=config.eval_every,
-                            patience=config.patience, dtype=config.dtype)
-
+    aug, loss_cfg, train_cfg = config.stage_configs()
     state = init_embeddings(dataset.num_users, dataset.num_items, config.d,
                             config.seed, dtype=train_cfg.np_dtype, L=config.layers)
     head = None
@@ -225,15 +230,12 @@ def main(argv=None) -> int:
         if not cfg_path.is_file():
             print(f"error: config not found: {args.config}", file=sys.stderr)
             return 2
+        overrides = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
         try:
-            config = parse_config(cfg_path.read_text())
-        except ConfigError as exc:
+            config = replace(parse_config(cfg_path.read_text()), **overrides)
+        except ValueError as exc:  # a ConfigError, or an override RunConfig rejects
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.out is not None:
-            config.out_dir = args.out
         return cmd_run(config)
     if args.command == "compare":
         return cmd_compare(args.csvs)

@@ -3,61 +3,77 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
 class InteractionDataset:
-    """Implicit-feedback interactions over dense 0-based user/item id spaces."""
+    """Implicit-feedback interactions over dense 0-based user/item id spaces, held as
+    sorted, distinct, read-only int64 keys user * num_items + item (`train_keys`,
+    `test_keys`); `train` and `test` take what `pair_keys` takes."""
 
-    num_users: int
-    num_items: int
-    train: frozenset  # of (user_id, item_id)
-    test: frozenset   # of (user_id, item_id)
-    # original file ids, indexed by dense id (for reporting only)
-    orig_user_ids: tuple = field(default=(), compare=False)
-    orig_item_ids: tuple = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if self.train & self.test:
+    def __init__(self, num_users: int, num_items: int, train=(), test=(),
+                 orig_user_ids: tuple = (), orig_item_ids: tuple = ()):
+        self.num_users, self.num_items = num_users, num_items
+        self.train_keys = pair_keys(train, num_users, num_items)
+        self.test_keys = pair_keys(test, num_users, num_items)
+        self.train_keys.flags.writeable = self.test_keys.flags.writeable = False
+        # original file ids, indexed by dense id (for reporting only)
+        self.orig_user_ids, self.orig_item_ids = orig_user_ids, orig_item_ids
+        if self.test_keys.size and in_sorted(self.test_keys, self.train_keys).any():
             raise ValueError("train and test interactions overlap")
 
-    @property
-    def interactions(self) -> frozenset:
-        return self.train | self.test
+    def __eq__(self, other):
+        return (isinstance(other, InteractionDataset)
+                and (self.num_users, self.num_items) == (other.num_users, other.num_items)
+                and np.array_equal(self.train_keys, other.train_keys)
+                and np.array_equal(self.test_keys, other.test_keys))
 
     @cached_property
-    def train_keys(self) -> np.ndarray:
-        """`train` as sorted int64 keys user * num_items + item, i.e. in
-        (user, item) order; `np.divmod(keys, num_items)` gives the pairs."""
-        return _pair_keys(self.train, self.num_items)
+    def train(self) -> frozenset:
+        """`train_keys` (`test`: `test_keys`) as (user, item) tuples; for tests only."""
+        return frozenset(map(tuple, key_pairs(self.train_keys, self.num_items).tolist()))
 
     @cached_property
-    def test_keys(self) -> np.ndarray:
-        """`test` as sorted int64 keys, like `train_keys`."""
-        return _pair_keys(self.test, self.num_items)
+    def test(self) -> frozenset:
+        return frozenset(map(tuple, key_pairs(self.test_keys, self.num_items).tolist()))
 
     @cached_property
     def train_graph(self) -> "BipartiteGraph":
-        """The normalized graph of `train`, built once for every stage."""
-        pairs = np.stack(np.divmod(self.train_keys, self.num_items), axis=1)
-        return build_graph(pairs, self.num_users, self.num_items)
+        """The normalized graph of `train_keys`, built once for every stage."""
+        return build_graph(key_pairs(self.train_keys, self.num_items),
+                           self.num_users, self.num_items)
 
     def summary(self) -> str:
+        n_train, n_test = len(self.train_keys), len(self.test_keys)
         denom = self.num_users * self.num_items
-        density = 100.0 * len(self.interactions) / denom if denom else 0.0
+        density = 100.0 * (n_train + n_test) / denom if denom else 0.0
         return (f"users={self.num_users} items={self.num_items} "
-                f"train={len(self.train)} test={len(self.test)} density={density:.2f}%")
+                f"train={n_train} test={n_test} density={density:.2f}%")
 
 
-def _pair_keys(pairs, num_items: int) -> np.ndarray:
-    keys = np.fromiter((u * num_items + i for u, i in pairs), dtype=np.int64, count=len(pairs))
-    keys.sort()
-    return keys
+def pair_keys(edges, num_users: int, num_items: int) -> np.ndarray:
+    """Sorted, distinct int64 keys user * num_items + item of an (m, 2) integer
+    array or an iterable of (user, item) pairs; a pair out of range raises."""
+    if not isinstance(edges, np.ndarray):
+        edges = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+    edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
+    ue, ie = edges[:, 0], edges[:, 1]
+    bad = (ue < 0) | (ue >= num_users) | (ie < 0) | (ie >= num_items)
+    if bad.any():
+        u, i = edges[bad][np.lexsort((ie[bad], ue[bad]))[0]].tolist()
+        raise ValueError(f"edge ({u},{i}) out of range")
+    # keep the first of each run of equal sorted keys
+    keys = np.sort(ue * num_items + ie)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def key_pairs(keys: np.ndarray, num_items: int) -> np.ndarray:
+    """(m, 2) int64 (user, item) rows of `pair_keys`' keys."""
+    return np.stack(np.divmod(keys, num_items), axis=1)
 
 
 def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -103,9 +119,10 @@ def load_ml100k(path) -> InteractionDataset:
 
     Every rated pair becomes one interaction regardless of rating value;
     duplicates collapse. All interactions land in `train` (split separately).
-    A bad line or a non-ASCII byte raises ParseError naming path and line.
+    A bad line, a non-ASCII byte or an id beyond int64 raises ParseError
+    naming path and line.
     """
-    pairs = set()
+    users, items = [], []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -122,67 +139,46 @@ def load_ml100k(path) -> InteractionDataset:
                 i = int(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: non-integer id: {exc}") from None
-            if u < 1 or i < 1:
-                raise ParseError(f"{path}: line {lineno}: ids must be >= 1")
-            pairs.add((u, i))
-    if not pairs:
+            if not (0 < u < 2**63 and 0 < i < 2**63):  # ids are parsed into int64
+                raise ParseError(f"{path}: line {lineno}: ids must be in [1, 2**63 - 1]")
+            users.append(u)
+            items.append(i)
+    if not users:
         raise ParseError(f"{path}: no interactions found")
     # dense 0-based re-indexing, deterministic: ascending original id
-    orig_users = sorted({u for u, _ in pairs})
-    orig_items = sorted({i for _, i in pairs})
-    umap = {u: k for k, u in enumerate(orig_users)}
-    imap = {i: k for k, i in enumerate(orig_items)}
-    train = frozenset((umap[u], imap[i]) for u, i in pairs)
-    return InteractionDataset(
-        num_users=len(orig_users),
-        num_items=len(orig_items),
-        train=train,
-        test=frozenset(),
-        orig_user_ids=tuple(orig_users),
-        orig_item_ids=tuple(orig_items),
-    )
+    orig_users, user_ids = np.unique(np.array(users, dtype=np.int64), return_inverse=True)
+    orig_items, item_ids = np.unique(np.array(items, dtype=np.int64), return_inverse=True)
+    return InteractionDataset(len(orig_users), len(orig_items),
+                              train=np.stack([user_ids, item_ids], axis=1),
+                              orig_user_ids=tuple(orig_users.tolist()),
+                              orig_item_ids=tuple(orig_items.tolist()))
 
 
 def split_train_test(dataset: InteractionDataset, ratio: float = 0.8, seed: int = 0) -> InteractionDataset:
-    """Per-user random holdout: floor(ratio * n_u) interactions kept for train (at least 1)."""
+    """Per-user random holdout: each user in ascending order draws one permutation of its
+    items (ascending); the first floor(ratio * n_u) (at least 1) go to train."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    by_user = {}
-    for u, i in dataset.interactions:
-        by_user.setdefault(u, []).append(i)
+    keys = np.union1d(dataset.train_keys, dataset.test_keys)
+    _, starts, counts = np.unique(keys // dataset.num_items, return_index=True, return_counts=True)
+    n_train = np.maximum(1, np.floor(ratio * counts).astype(np.int64))
     rng = np.random.default_rng(seed)
-    train, test = set(), set()
-    for u in sorted(by_user):
-        items = sorted(by_user[u])
-        n_train = max(1, int(np.floor(ratio * len(items))))
-        perm = rng.permutation(len(items))
-        for k, idx in enumerate(perm):
-            (train if k < n_train else test).add((u, items[idx]))
-    return InteractionDataset(
-        num_users=dataset.num_users,
-        num_items=dataset.num_items,
-        train=frozenset(train),
-        test=frozenset(test),
-        orig_user_ids=dataset.orig_user_ids,
-        orig_item_ids=dataset.orig_item_ids,
-    )
+    in_train = np.zeros(len(keys), dtype=bool)
+    for start, n, k in zip(starts.tolist(), counts.tolist(), n_train.tolist()):
+        in_train[start + rng.permutation(n)[:k]] = True
+    return InteractionDataset(dataset.num_users, dataset.num_items,
+                              train=key_pairs(keys[in_train], dataset.num_items),
+                              test=key_pairs(keys[~in_train], dataset.num_items),
+                              orig_user_ids=dataset.orig_user_ids,
+                              orig_item_ids=dataset.orig_item_ids)
 
 
 def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
     """Build A_hat = D^(-1/2) A D^(-1/2) over the stacked user+item node space from
     an (m, 2) integer array or an iterable of (user, item) pairs; duplicates collapse."""
-    if not isinstance(edges, np.ndarray):
-        edges = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
-    edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
-    ue, ie = edges[:, 0], edges[:, 1]
-    bad = (ue < 0) | (ue >= num_users) | (ie < 0) | (ie >= num_items)
-    if bad.any():
-        u, i = edges[bad][np.lexsort((ie[bad], ue[bad]))[0]].tolist()
-        raise ValueError(f"edge ({u},{i}) out of range")
     n = num_users + num_items
-    # sorted keys put the edges in (user, item) order; keep the first of each run
-    keys = np.sort(ue * num_items + ie)
-    ue, ie = np.divmod(keys[np.diff(keys, prepend=-1) != 0], num_items)
+    # sorted keys put the edges in (user, item) order
+    ue, ie = np.divmod(pair_keys(edges, num_users, num_items), num_items)
     deg = np.bincount(np.concatenate([ue, num_users + ie]), minlength=n)
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
     w = inv_sqrt[ue] * inv_sqrt[num_users + ie]

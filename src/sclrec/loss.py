@@ -20,9 +20,9 @@ class LossConfig:
     denominator: str = "negatives"  # or "all" (SupCon-style) for ablation
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN fails too
             raise ValueError("tau must be positive")
-        if self.lambda_l2 < 0:
+        if not self.lambda_l2 >= 0:
             raise ValueError("lambda_l2 must be nonnegative")
         if self.denominator not in ("negatives", "all"):
             raise ValueError(f"unknown denominator mode {self.denominator!r}")

@@ -35,12 +35,15 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN fails too
             raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "eval_every", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def np_dtype(self):
@@ -316,7 +319,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         return evaluate(prop.final_user, prop.final_item, dataset).ndcg_at[10]
 
     history = []
-    can_eval = bool(dataset.test)
+    can_eval = len(dataset.test_keys) > 0
     best_ndcg = eval_ndcg(snapshot()) if can_eval else None
     best_state = snapshot()
     best_epoch = 0

@@ -240,3 +240,56 @@ def test_run_non_finite_gradient_stderr_is_one_line(tmp_path, data_file, method,
     lines = [line for line in proc.stderr.splitlines()
              if not (line.startswith("epoch ") and line.endswith(", skipped"))]
     assert lines == [f"error: {stage}: non-finite gradient for parameter 'emb'"]
+
+
+BAD_CONFIG_VALUES = [("tau", "0"), ("rho1", "2"), ("k_segments", "0"), ("denominator", "foo"),
+                     ("batch_size", "0"), ("d", "0"), ("eval_every", "0"), ("dtype", "float13"),
+                     ("layers", "-1"), ("patience", "-5"), ("seed", "-1"), ("tau", "nan"),
+                     ("lr", "nan"), ("lambda_l2", "nan")]
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES, ids=[f"{k}={v}" for k, v in BAD_CONFIG_VALUES])
+def test_run_bad_config_value_exit_2_before_reading_data(tmp_path, data_file, capsys,
+                                                         monkeypatch, key, value):
+    def no_read(path):
+        raise AssertionError("data read before the config was checked")
+
+    monkeypatch.setattr("sclrec.cli.load_ml100k", no_read)
+    cfg = write_config(tmp_path, data_file, **{key: value})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError):
+        parse_config(f"{key} = {value}\n")
+
+
+def test_stage_configs_carry_the_run_config():
+    cfg = RunConfig(method="scl-nd", rho1=0.3, k_segments=2, top_n=4, tau=0.5,
+                    denominator="all", batch_size=7, eval_every=3, patience=9,
+                    dtype="float64", seed=5)
+    aug, loss, train = cfg.stage_configs()
+    assert (aug.rho1, aug.k_segments, aug.top_n, aug.method) == (0.3, 2, 4, "ND")
+    assert (loss.tau, loss.denominator) == (0.5, "all")
+    assert (train.batch_size, train.eval_every, train.patience, train.dtype, train.seed) == (
+        7, 3, 9, "float64", 5)
+
+
+@pytest.mark.parametrize("method", ["lightgcn", "sgl", "scl-nr"])
+def test_run_never_builds_the_frozenset_views(tmp_path, data_file, monkeypatch, method):
+    from sclrec.dataset import InteractionDataset
+
+    def refuse(self):
+        raise AssertionError("a run path built a frozenset of interactions")
+
+    monkeypatch.setattr(InteractionDataset, "train", property(refuse))
+    monkeypatch.setattr(InteractionDataset, "test", property(refuse))
+    cfg = write_config(tmp_path, data_file, method=method)
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_run_negative_seed_override_exit_2(tmp_path, data_file, capsys):
+    cfg = write_config(tmp_path, data_file)
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
