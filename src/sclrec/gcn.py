@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph
 
@@ -83,18 +84,21 @@ def layer_mean(e0: np.ndarray, adj, L: int, side=None) -> np.ndarray:
     """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
     layers 0..L. The one propagation kernel; e0 is not modified. With
     side=(start, stop), e0 must be zero outside those rows (one side of the
-    bipartite graph); each layer then multiplies only the half block of adj
-    that maps the current side to the other, with the full call's result."""
+    bipartite graph) and adj CSR; each layer then multiplies only the half
+    block of adj that maps the current side to the other, with the full call's result."""
     acc = e0.copy()
     e = e0
-    if side is not None:  # E^(l) lives on halves[l % 2]
-        halves = (slice(*side), slice(0, side[0]) if side[0] else slice(side[1], None))
+    if side is not None:  # E^(l) lives on halves[l % 2]; blocks[l % 2] maps onto it
+        halves = (side, (0, side[0]) if side[0] else (side[1], adj.shape[0]))
+        p = adj.indptr  # row blocks that share adj's arrays, where adj[a:b] copies them
+        blocks = [sp.csr_matrix((adj.data[p[a]:p[b]], adj.indices[p[a]:p[b]], p[a:b + 1] - p[a]),
+                                shape=(b - a, adj.shape[1]), copy=False) for a, b in halves]
     for layer in range(1, L + 1):
         if side is None:
             e = adj @ e
         else:
             e_next = np.zeros_like(e0)
-            e_next[halves[layer % 2]] = adj[halves[layer % 2]] @ e
+            e_next[slice(*halves[layer % 2])] = blocks[layer % 2] @ e
             e = e_next
         acc += e
     acc /= L + 1

@@ -46,21 +46,23 @@ class ContrastBatch:
         n = self.z.shape[0]
         if n % 2 != 0:
             raise ValueError("z must hold an even number of rows (two views per anchor)")
-        for name, mask in (("positive_mask", self.positive_mask),
-                           ("valid_negative_mask", self.valid_negative_mask)):
+        pos, neg = self.positive_mask, self.valid_negative_mask
+        for name, mask in (("positive_mask", pos), ("valid_negative_mask", neg)):
             if mask.shape != (n, n):
                 raise ValueError(f"{name} shape {mask.shape} != ({n}, {n})")
             if mask.diagonal().any():
                 raise ValueError(f"{name} has true diagonal entries")
-        if (self.positive_mask & self.valid_negative_mask).any():
+        if (pos & neg).any():
             raise ValueError("positive and negative masks overlap")
-        if not (self.positive_mask | self.valid_negative_mask | np.eye(n, dtype=bool)).all():
+        if np.count_nonzero(pos) + np.count_nonzero(neg) != n * n - n:  # disjoint, no diagonal
             raise ValueError("masks plus diagonal must cover all pairs")
-        # m == m.T by 256-row block pairs, which stay in cache where m.T's reads do not
-        m, b = self.positive_mask, 256
-        if not all((m[i:i + b, j:j + b] == m[j:j + b, i:i + b].T).all()
-                   for i in range(0, n, b) for j in range(i, n, b)):
+        if not all((pos[r, c] == pos[c, r].T).all() for r, c in _block_pairs(n)):
             raise ValueError("positive_mask must be symmetric")
+
+
+def _block_pairs(n: int, b: int = 128):
+    """Slice pairs (rows, cols) of the cache-sized b x b blocks on and above n x n's diagonal."""
+    return [(slice(i, i + b), slice(j, j + b)) for i in range(0, n, b) for j in range(i, n, b)]
 
 
 def bpr_loss(y_pos: np.ndarray, y_neg: np.ndarray, params_sq_norm: float, lambda_l2: float):
@@ -88,8 +90,11 @@ def _normalize_rows(z: np.ndarray):
 
 
 def _cosine_backward(grad_s: np.ndarray, z_hat: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Chain dL/dS (S = Z_hat Z_hat^T) back to the unnormalized rows."""
-    grad_hat = (grad_s + grad_s.T) @ z_hat
+    """Chain dL/dS (S = Z_hat Z_hat^T), symmetrised in place, back to the raw rows."""
+    for r, c in _block_pairs(len(grad_s)):
+        blk = grad_s[r, c] + grad_s[c, r].T
+        grad_s[r, c], grad_s[c, r] = blk, blk.T
+    grad_hat = grad_s @ z_hat
     radial = (grad_hat * z_hat).sum(axis=1, keepdims=True)
     return (grad_hat - radial * z_hat) / norms[:, None]
 
@@ -113,8 +118,8 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
 
     denominator="negatives" excludes positives from the denominator (the
     printed form; the loss can go negative). denominator="all" uses every
-    k != i instead. Returns (loss, grad_z).
-    """
+    k != i instead. Returns (loss, grad_z). Holds one n x n float64 array: the
+    scaled cosines become the softmax, dL/dS and its symmetrisation in place."""
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.float64)
@@ -124,7 +129,8 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
     if denominator == "negatives" and not batch.valid_negative_mask.any(axis=1).all():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
-    s = (z_hat @ z_hat.T) / tau
+    s = z_hat @ z_hat.T
+    s /= tau
     rows, cols = np.nonzero(batch.positive_mask)  # row-major, so rows ascend
     starts = np.searchsorted(rows, np.arange(n))
     s_pos = s[rows, cols]

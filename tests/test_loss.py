@@ -364,3 +364,37 @@ def test_contrast_batch_rejects_one_asymmetric_entry_far_off_diagonal():
         asym[r, c] = True
         with pytest.raises(ValueError, match="positive_mask must be symmetric"):
             ContrastBatch(z, asym, ~(asym | eye))
+
+
+def test_contrastive_losses_hold_one_dense_matrix():
+    # 1,024 anchors: the scaled cosines, the softmax, dL/dS and its
+    # symmetrisation share one n x n float64 array (bound 1.5 of them)
+    rng = np.random.default_rng(11)
+    n_anchors = 1024
+    n = 2 * n_anchors
+    z = rng.normal(size=(n, 16))
+    pair = rng.random((n_anchors, n_anchors)) < 10 / n_anchors
+    pair |= pair.T
+    np.fill_diagonal(pair, True)
+    pos = np.kron(pair, np.ones((2, 2), dtype=bool))
+    np.fill_diagonal(pos, False)
+    neg = ~(pos | np.eye(n, dtype=bool))
+    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    bound = 1.5 * n * n * 8
+    assert peak_bytes(s_info_nce, batch, 0.2) <= bound
+    assert peak_bytes(info_nce, z, 0.2) <= bound
+
+
+def test_contrast_batch_rejects_one_uncovered_pair():
+    # disjoint, diagonal-free masks that miss one off-diagonal pair, in either
+    # triangle, near and far from the diagonal
+    n = 600
+    eye = np.eye(n, dtype=bool)
+    pos = np.zeros((n, n), dtype=bool)
+    pos[np.arange(n), np.arange(n) ^ 1] = True
+    z = np.ones((n, 2))
+    for r, c in ((0, 2), (2, 0), (3, 590), (590, 3), (255, 256), (599, 597)):
+        neg = ~(pos | eye)
+        neg[r, c] = False
+        with pytest.raises(ValueError, match="masks plus diagonal must cover all pairs"):
+            ContrastBatch(z, pos, neg)
