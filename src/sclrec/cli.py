@@ -126,8 +126,22 @@ def cmd_run(config: RunConfig) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if len(dataset.test_keys) == 0:
+        print(f"error: {config.data_path}: the split leaves no test interactions "
+              "(every user has a single interaction)", file=sys.stderr)
+        return 1
+    graph = dataset.train_graph
+    sim_index = None
+    if config.method.startswith("scl-"):
+        try:
+            sim_index = compute_similarity(graph, config.top_n)
+        except ValueError as exc:
+            print(f"error: {config.data_path}: {exc}", file=sys.stderr)
+            return 1
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if sim_index is not None:
+        save_similarity(sim_index, out / "similarity.sclsim")
     log_lines = []
 
     def log_fn(line):
@@ -135,16 +149,10 @@ def cmd_run(config: RunConfig) -> int:
         print(line)
 
     print(dataset.summary())
-    graph = dataset.train_graph
-
     aug, loss_cfg, train_cfg = config.stage_configs()
     state = init_embeddings(dataset.num_users, dataset.num_items, config.d,
                             config.seed, dtype=train_cfg.np_dtype, L=config.layers)
     head = None
-    sim_index = None
-    if config.method.startswith("scl-"):
-        sim_index = compute_similarity(graph, config.top_n)
-        save_similarity(sim_index, out / "similarity.sclsim")
     stage = "pretrain"
     try:  # overflow and NaN end in adam_step's finiteness check, reported as one line below
         with np.errstate(over="ignore", invalid="ignore"):

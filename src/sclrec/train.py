@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from sclrec.augment import make_views
 from sclrec.dataset import in_sorted
-from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, norm_adj_as, propagate,
+from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, norm_adj_as,
                         project_backward, project_forward)
 from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
@@ -90,7 +90,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         denom += config.adam_eps
         step /= denom
         p -= step
-    return params, state
 
 
 def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
@@ -207,9 +206,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
                                    "offset %d (no valid negatives or zero-norm "
                                    "projection), skipped", epoch, offset)
                     continue
-                grads = {"emb": grad_e0.astype(dtype)}
-                grads.update({k: v.astype(dtype) for k, v in head_grads.items()})
-                adam_step(params, grads, adam, train_config)
+                adam_step(params, {"emb": grad_e0, **head_grads}, adam, train_config)
                 batch_losses.append(loss)
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
         loss_curve.append(epoch_loss)
@@ -296,8 +293,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     list of (epoch, mean_loss, ndcg10-or-None).
     """
     dtype = train_config.np_dtype
-    graph = dataset.train_graph
-    adj = norm_adj_as(graph, dtype)
+    adj = norm_adj_as(dataset.train_graph, dtype)
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 202]))
     nu = dataset.num_users
     e0 = state.stacked().astype(dtype)
@@ -314,13 +310,13 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         return EmbeddingState(user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy(),
                               d=state.d, L=state.L)
 
-    def eval_ndcg(st):
-        prop = propagate(st, graph)
-        return evaluate(prop.final_user, prop.final_item, dataset).ndcg_at[10]
+    def eval_ndcg():
+        final = _propagate_raw(e0, adj, state.L)
+        return evaluate(final[:nu], final[nu:], dataset).ndcg_at[10]
 
     history = []
     can_eval = len(dataset.test_keys) > 0
-    best_ndcg = eval_ndcg(snapshot()) if can_eval else None
+    best_ndcg = eval_ndcg() if can_eval else None
     best_state = snapshot()
     best_epoch = 0
     history.append((0, None, best_ndcg))
@@ -338,8 +334,8 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         epoch_loss = float(np.mean(losses)) if losses else float("nan")
         ndcg = None
         if can_eval and epoch % train_config.eval_every == 0:
-            ndcg = eval_ndcg(snapshot())
-            if best_ndcg is None or ndcg > best_ndcg:
+            ndcg = eval_ndcg()
+            if ndcg > best_ndcg:
                 best_ndcg, best_state, best_epoch = ndcg, snapshot(), epoch
         history.append((epoch, epoch_loss, ndcg))
         line = f"stage=finetune epoch={epoch} loss={epoch_loss:.6f}"
@@ -348,6 +344,6 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         (log_fn or logger.info)(line)
         if can_eval and epoch - best_epoch >= train_config.patience:
             break
-    if not can_eval or train_config.finetune_epochs == 0:
+    if not can_eval:
         best_state = snapshot()
     return best_state, history

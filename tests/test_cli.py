@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -293,3 +294,71 @@ def test_run_negative_seed_override_exit_2(tmp_path, data_file, capsys):
     assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, lines, message", [
+    ("lightgcn", [f"{u}\t{u}\t5\t0" for u in range(1, 6)],
+     "the split leaves no test interactions (every user has a single interaction)"),
+    ("scl-nr", [f"1\t{i}\t5\t0" for i in range(1, 6)],
+     "similarity needs at least 2 users and 2 items"),
+], ids=["no-test-pairs", "one-user-similarity"])
+def test_run_unusable_data_one_line_exit_1_no_out_dir(tmp_path, capsys, method, lines, message):
+    data = tmp_path / "u.data"
+    data.write_text("".join(line + "\n" for line in lines))
+    cfg = write_config(tmp_path, data, method=method)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_config_line_without_equals():
+    with pytest.raises(ConfigError, match=r"^line 2: expected `key = value`$"):
+        parse_config("seed = 1\nmethod lightgcn\n")
+
+
+def test_compare_empty_report_exit_1(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n")
+    assert main(["compare", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: empty report {empty}\n"
+
+
+def test_run_missing_config_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    assert main(["run", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: config not found: {missing}\n"
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# Records the BLAS thread variables when numpy is first imported.
+NUMPY_IMPORT_HOOK = f"""
+import json, os, sys
+from pathlib import Path
+
+class RecordAtNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        record = Path(__file__).with_name("env.json")
+        if name == "numpy" and not record.exists():
+            record.write_text(json.dumps({{v: os.environ.get(v) for v in {THREAD_VARS!r}}}))
+        return None
+
+sys.meta_path.insert(0, RecordAtNumpyImport())
+"""
+
+
+def test_scl_threads_is_set_before_numpy_loads(tmp_path):
+    src = Path(sclrec.__file__).resolve().parents[1]
+    (tmp_path / "sitecustomize.py").write_text(NUMPY_IMPORT_HOOK)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["SCL_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tmp_path), str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "env.json").read_text()) == dict.fromkeys(THREAD_VARS, "1")
+    # the package itself imports nothing numeric, so a library user's own caps still apply
+    probe = "import sys, sclrec; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "False\n", proc.stderr

@@ -47,6 +47,15 @@ def test_load_errors_name_path_and_line(tmp_path):
         assert str(info.value).startswith(f"{path}: line 2: {message}")
 
 
+def test_load_non_integer_id_names_path_and_line(tmp_path):
+    path = tmp_path / "u.data"
+    path.write_text("1\t1\t5\t0\n2\tx7\t5\t0\n")
+    with pytest.raises(ParseError) as info:
+        load_ml100k(path)
+    assert str(info.value) == (f"{path}: line 2: non-integer id: "
+                               "invalid literal for int() with base 10: 'x7'")
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("")

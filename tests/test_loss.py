@@ -268,6 +268,33 @@ def test_s_info_nce_error_cases():
         s_info_nce(batch, 1.0)
 
 
+def test_contrast_batch_rejects_odd_rows_and_misshaped_masks():
+    pos = np.zeros((4, 4), dtype=bool)
+    pos[0, 1] = pos[1, 0] = pos[2, 3] = pos[3, 2] = True
+    neg = ~(pos | np.eye(4, dtype=bool))
+    with pytest.raises(ValueError, match=r"^z must hold an even number of rows"):
+        ContrastBatch(np.ones((3, 2)), pos[:3, :3], neg[:3, :3])
+    with pytest.raises(ValueError, match=r"^valid_negative_mask shape \(4, 3\) != \(4, 4\)$"):
+        ContrastBatch(np.ones((4, 2)), pos, neg[:, :3])
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_info_nce_rejects_odd_or_empty_rows(rows):
+    with pytest.raises(ValueError, match=r"^need an even number >= 2 of rows$"):
+        info_nce(np.ones((rows, 2)), 1.0)
+
+
+def test_s_info_nce_rejects_unknown_denominator_and_anchor_without_positive():
+    eye = np.eye(4, dtype=bool)
+    pos = np.zeros((4, 4), dtype=bool)
+    pos[0, 1] = pos[1, 0] = True  # rows 2 and 3 have no positive
+    batch = ContrastBatch(np.eye(4, 3), pos, ~(pos | eye))
+    with pytest.raises(ValueError, match=r"^unknown denominator mode 'none'$"):
+        s_info_nce(batch, 1.0, denominator="none")
+    with pytest.raises(ValueError, match=r"^every anchor needs at least one positive$"):
+        s_info_nce(batch, 1.0)
+
+
 @st.composite
 def contrast_cases(draw):
     """Random symmetric positive masks over interleaved co-view pairs (every

@@ -65,6 +65,12 @@ def test_adam_nonfinite_gradient():
         adam_step(p, {"emb": np.array([np.nan, 0.0])}, AdamState(p), TrainConfig())
 
 
+@pytest.mark.parametrize("field", ["pretrain_epochs", "finetune_epochs"])
+def test_train_config_rejects_negative_epochs(field):
+    with pytest.raises(ValueError, match=r"^epoch counts must be >= 0$"):
+        TrainConfig(**{field: -1})
+
+
 def test_pretrain_zero_epochs_untouched():
     ds = toy_dataset()
     graph = build_graph(ds.train, ds.num_users, ds.num_items)
@@ -464,3 +470,62 @@ def test_contrastive_sgl_user_batch_needs_num_users():
     nodes = batches[0][0]
     with pytest.raises(ValueError, match="num_users"):
         contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, None, 0.5)
+
+
+def test_finetune_stops_patience_epochs_after_first_best():
+    ds = toy_dataset(seed=1)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    cfg = small_train_config(finetune_epochs=20, patience=2, lr=0.05)
+    out, history = finetune(ds, state, LossConfig(), cfg)
+    ndcgs = [ndcg for _, _, ndcg in history]
+    best = ndcgs.index(max(ndcgs))
+    assert best + 2 < cfg.finetune_epochs
+    assert [epoch for epoch, _, _ in history] == list(range(best + 3))
+    # the returned state is the one evaluated at `best`, not the last one
+    at_best, _ = finetune(ds, state, LossConfig(),
+                          small_train_config(finetune_epochs=best, lr=0.05))
+    assert np.array_equal(out.stacked(), at_best.stacked())
+
+
+def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch, caplog):
+    import sclrec.train as train
+    from sclrec.augment import SimilarityIndex
+
+    ds, e0, adj1, adj2, head, batches = _contrastive_case()
+    nodes = batches[0][0]
+    everyone = np.ones((ds.num_users, ds.num_users), dtype=bool)
+    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, everyone,
+                                      0.5) == (None, None, None)
+    # pretrain: the one user batch (every user lists every other) is skipped,
+    # so only the item batch of each epoch takes an Adam step
+    ds = toy_dataset(seed=2, with_test=False)
+    sim = compute_similarity(build_graph(ds.train, ds.num_users, ds.num_items), 1)
+    users = tuple(tuple((b, 1.0) for b in range(ds.num_users) if b != a)
+                  for a in range(ds.num_users))
+    steps = []  # counted, not taken
+    monkeypatch.setattr(train, "adam_step", lambda *args: steps.append(args))
+    state = init_embeddings(ds.num_users, ds.num_items, 16, seed=1)  # wide: no dead-relu row
+    pretrain(ds, SimilarityIndex(users, sim.item_neighbors), AugmentationConfig(method="ED"),
+             state, None, LossConfig(), small_train_config(pretrain_epochs=3))
+    assert len(steps) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        f"epoch {epoch}: degenerate contrastive batch at offset 0 (no valid negatives "
+        "or zero-norm projection), skipped" for epoch in (1, 2, 3)]
+
+
+def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
+    import sclrec.train as train
+
+    sizes = []
+
+    def record(e0, adj1, adj2, L, head, nodes, offset, *args, **kwargs):
+        sizes.append((offset, len(nodes)))
+        return contrastive_loss_and_grads(e0, adj1, adj2, L, head, nodes, offset, *args, **kwargs)
+
+    monkeypatch.setattr(train, "contrastive_loss_and_grads", record)
+    ds = toy_dataset(num_users=5, num_items=8, seed=3, with_test=False)
+    sim = compute_similarity(build_graph(ds.train, ds.num_users, ds.num_items), 1)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    pretrain(ds, sim, AugmentationConfig(method="ED"), state, None, LossConfig(),
+             small_train_config(pretrain_epochs=1, batch_size=2))
+    assert sizes == [(0, 2), (0, 2)] + [(5, 2)] * 4
