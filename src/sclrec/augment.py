@@ -7,7 +7,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph, build_graph, key_pairs
 from sclrec.metrics import top_k
@@ -60,17 +59,17 @@ class SimilarityIndex:
     item_neighbors: tuple
 
 
-def _top_n_neighbors(mat: sp.csr_matrix, top_n: int):
-    """Top-N cosine neighbors per row of a binary matrix; self excluded.
+def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int):
+    """Top-N cosine neighbors per row of an n x n co-occurrence count matrix; self excluded.
 
     cosine(a, b) = |N(a) ∩ N(b)| / (sqrt(deg a) * sqrt(deg b)); degree-0 rows
     get an empty list and score 0 against everyone else.
     """
-    n = mat.shape[0]
-    deg = np.asarray(mat.sum(axis=1)).ravel()
+    n = len(deg)
     inv = np.zeros(n)
     inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    scores = (mat @ mat.T).toarray() * inv[:, None] * inv[None, :]
+    scores = counts * inv[:, None]  # float64; rows, then columns, for the scores' bits
+    scores *= inv[None, :]
     np.fill_diagonal(scores, -np.inf)  # self excluded
     top = top_k(scores, min(top_n, n - 1))
     ids = top.tolist()
@@ -82,12 +81,14 @@ def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
     """User-side and item-side cosine similarity, each side computed separately."""
     if graph.num_users < 2 or graph.num_items < 2:
         raise ValueError("similarity needs at least 2 users and 2 items")
-    nu = graph.num_users
-    # binary user x item matrix; float so that its products count (a bool product ORs)
-    mat = (graph.norm_adj[:nu, nu:] > 0).astype(np.float64)
+    nu, ni = graph.num_users, graph.num_items
+    users, items = graph.edge_array().T
+    # binary user x item; its syrk counts (< 2**24) are exact in float32 at any thread count
+    x = np.zeros((nu, ni), dtype=np.float32)
+    x[users, items] = 1.0
     return SimilarityIndex(
-        user_neighbors=_top_n_neighbors(mat, top_n),
-        item_neighbors=_top_n_neighbors(mat.T.tocsr(), top_n),
+        user_neighbors=_top_n_neighbors(x @ x.T, np.bincount(users, minlength=nu), top_n),
+        item_neighbors=_top_n_neighbors(x.T @ x, np.bincount(items, minlength=ni), top_n),
     )
 
 

@@ -116,28 +116,30 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(emit_config(config).encode()).hexdigest()
 
 
+def fail(reason, code: int = 1) -> int:
+    """Print one `error:` line to stderr; return the exit code."""
+    print(f"error: {reason}", file=sys.stderr)
+    return code
+
+
 def cmd_run(config: RunConfig) -> int:
     if not Path(config.data_path).is_file():
-        print(f"error: dataset not found: {config.data_path}", file=sys.stderr)
-        return 1
+        return fail(f"dataset not found: {config.data_path}")
     try:
         dataset = split_train_test(load_ml100k(config.data_path),
                                    ratio=config.split_ratio, seed=config.seed)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return fail(exc)
     if len(dataset.test_keys) == 0:
-        print(f"error: {config.data_path}: the split leaves no test interactions "
-              "(every user has a single interaction)", file=sys.stderr)
-        return 1
+        return fail(f"{config.data_path}: the split leaves no test interactions "
+                    "(every user has a single interaction)")
     graph = dataset.train_graph
     sim_index = None
     if config.method.startswith("scl-"):
         try:
             sim_index = compute_similarity(graph, config.top_n)
         except ValueError as exc:
-            print(f"error: {config.data_path}: {exc}", file=sys.stderr)
-            return 1
+            return fail(f"{config.data_path}: {exc}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if sim_index is not None:
@@ -164,8 +166,7 @@ def cmd_run(config: RunConfig) -> int:
             stage = "finetune"
             state, _history = finetune(dataset, state, loss_cfg, train_cfg, log_fn=log_fn)
     except FloatingPointError as exc:  # adam_step's non-finite gradient check
-        print(f"error: {stage}: {exc}", file=sys.stderr)
-        return 1
+        return fail(f"{stage}: {exc}")
 
     save_checkpoint(out / "checkpoint.sclckpt", state, head)
     prop = propagate(state, graph)
@@ -192,15 +193,16 @@ def cmd_compare(paths) -> int:
     header = None
     rows = []
     for p in paths:
-        lines = Path(p).read_text().strip().splitlines()
+        try:
+            lines = Path(p).read_text().strip().splitlines()
+        except (OSError, ValueError) as exc:  # missing, unreadable or not text
+            return fail(f"{p}: {exc.strerror if isinstance(exc, OSError) else exc}")
         if not lines:
-            print(f"error: empty report {p}", file=sys.stderr)
-            return 1
+            return fail(f"empty report {p}")
         if header is None:
             header = lines[0]
         elif lines[0] != header:
-            print(f"error: header mismatch in {p}", file=sys.stderr)
-            return 1
+            return fail(f"header mismatch in {p}")
         rows.extend(lines[1:])
     print(header)
     for row in rows:
@@ -209,7 +211,10 @@ def cmd_compare(paths) -> int:
 
 
 def cmd_inspect_checkpoint(path) -> int:
-    state, head = load_checkpoint(path)
+    try:
+        state, head = load_checkpoint(path)
+    except (OSError, ValueError) as exc:  # load_checkpoint's ValueErrors name the path
+        return fail(f"{path}: {exc.strerror}" if isinstance(exc, OSError) else exc)
     print(f"num_users={state.user_emb.shape[0]} num_items={state.item_emb.shape[0]} "
           f"d={state.d} L={state.L} head={'yes' if head is not None else 'no'}")
     print(f"user_emb_norm={np.linalg.norm(state.user_emb):.6f} "
@@ -236,14 +241,12 @@ def main(argv=None) -> int:
     if args.command == "run":
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
-            print(f"error: config not found: {args.config}", file=sys.stderr)
-            return 2
+            return fail(f"config not found: {args.config}", code=2)
         overrides = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
         try:
             config = replace(parse_config(cfg_path.read_text()), **overrides)
         except ValueError as exc:  # a ConfigError, or an override RunConfig rejects
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return fail(exc, code=2)
         return cmd_run(config)
     if args.command == "compare":
         return cmd_compare(args.csvs)

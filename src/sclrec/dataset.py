@@ -114,37 +114,55 @@ class ParseError(ValueError):
     pass
 
 
+def _canonical_ids(path):
+    """(n, 2) int64 ids of a file whose non-empty lines are each four tab-separated
+    runs of 1-18 ASCII digits and a newline, ids nonzero; None for any other file."""
+    b = np.fromfile(path, dtype=np.uint8)
+    sep = np.flatnonzero((b == 9) | (b == 10))
+    kinds, width = b[sep], np.diff(sep, prepend=-1) - 1  # digits before each separator
+    line = ~((kinds == 10) & (width == 0) & (np.r_[10, kinds[:-1]] == 10))  # not blank
+    kinds, width = kinds[line], width[line]
+    if (not kinds.size or np.count_nonzero(b - 48 < 10) + sep.size != b.size
+            or kinds.size % 4 or (kinds.reshape(-1, 4) != (9, 9, 9, 10)).any()
+            or width.min() < 1 or width.max() > 18):
+        return None
+    ids = np.fromstring(b, dtype=np.int64, sep=" ").reshape(-1, 4)[:, :2]
+    return ids if ids.min() > 0 else None
+
+
 def load_ml100k(path) -> InteractionDataset:
     """Load a `u.data`-style TSV (user, item, rating, timestamp; 1-based ids).
 
-    Every rated pair becomes one interaction regardless of rating value;
-    duplicates collapse. All interactions land in `train` (split separately).
-    A bad line, a non-ASCII byte or an id beyond int64 raises ParseError
-    naming path and line.
+    Every rated pair becomes one interaction regardless of rating value; duplicates
+    collapse. All interactions land in `train` (split separately). A canonical file
+    (`_canonical_ids`) is parsed whole, any other line by line: a bad line, a non-ASCII
+    byte or an id beyond int64 raises ParseError naming path and line.
     """
-    users, items = [], []
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.isascii():
-                raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated "
-                                 f"fields, got {len(parts)}")
-            try:
-                u = int(parts[0])
-                i = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: non-integer id: {exc}") from None
-            if not (0 < u < 2**63 and 0 < i < 2**63):  # ids are parsed into int64
-                raise ParseError(f"{path}: line {lineno}: ids must be in [1, 2**63 - 1]")
-            users.append(u)
-            items.append(i)
-    if not users:
-        raise ParseError(f"{path}: no interactions found")
+    ids = _canonical_ids(path)
+    users, items = ids.T if ids is not None else ([], [])
+    if ids is None:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.isascii():
+                    raise ParseError(f"{path}: line {lineno}: non-ASCII byte")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 4:
+                    raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated "
+                                     f"fields, got {len(parts)}")
+                try:
+                    u = int(parts[0])
+                    i = int(parts[1])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {lineno}: non-integer id: {exc}") from None
+                if not (0 < u < 2**63 and 0 < i < 2**63):  # ids are parsed into int64
+                    raise ParseError(f"{path}: line {lineno}: ids must be in [1, 2**63 - 1]")
+                users.append(u)
+                items.append(i)
+        if not users:
+            raise ParseError(f"{path}: no interactions found")
     # dense 0-based re-indexing, deterministic: ascending original id
     orig_users, user_ids = np.unique(np.array(users, dtype=np.int64), return_inverse=True)
     orig_items, item_ids = np.unique(np.array(items, dtype=np.int64), return_inverse=True)

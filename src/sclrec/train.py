@@ -96,8 +96,8 @@ def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
     """Symmetric boolean matrix: (a, b) true if either lists the other in its
     top-N; diagonal true (a node's two views are mutual positives)."""
     mat = np.eye(n, dtype=bool)
-    for a, neigh in enumerate(neighbors):
-        mat[a, [b for b, _score in neigh]] = True
+    rows = np.repeat(np.arange(n), [len(neigh) for neigh in neighbors])
+    mat[rows, [b for neigh in neighbors for b, _score in neigh]] = True
     return mat | mat.T
 
 

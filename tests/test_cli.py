@@ -362,3 +362,57 @@ def test_scl_threads_is_set_before_numpy_loads(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_compare_missing_report_one_error_line_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["compare", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+def test_inspect_missing_checkpoint_one_error_line_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.sclckpt"
+    assert main(["inspect-checkpoint", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+def test_inspect_truncated_checkpoint_one_error_line_exit_1(tmp_path, capsys):
+    cut = tmp_path / "cut.sclckpt"
+    cut.write_bytes(b"SCLCKPT")
+    assert main(["inspect-checkpoint", str(cut)]) == 1
+    assert capsys.readouterr().err == (f"error: {cut}: truncated checkpoint: 7 bytes, "
+                                       "expected at least 24\n")
+
+
+def run_fresh(tmp_path, data_file, threads, **overrides):
+    """`sclrec run` in a fresh interpreter with BLAS capped at `threads`."""
+    out = tmp_path / f"{overrides['method']}-t{threads}"
+    cfg = write_config(tmp_path, data_file, out_dir=out, d=32, layers=3, batch_size=512,
+                       top_n=10, **overrides)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["SCL_THREADS"] = str(threads)
+    src = str(Path(sclrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def test_similarity_and_lightgcn_checkpoint_are_blas_thread_invariant(tmp_path):
+    # large enough that OpenBLAS splits its products over both threads
+    rng = np.random.default_rng(7)
+    data = tmp_path / "u.data"
+    popularity = 1.0 / np.arange(1, 701) ** 0.8
+    lines = [f"{u}\t{i}\t3\t0\n" for u in range(1, 501)
+             for i in 1 + rng.choice(700, size=int(rng.integers(10, 120)), replace=False,
+                                     p=popularity / popularity.sum())]
+    data.write_text("".join(lines))
+    sims, checkpoints = [], []
+    for threads in (1, 2):
+        out = run_fresh(tmp_path, data, threads, method="scl-nr", pretrain_epochs=0,
+                        finetune_epochs=0)
+        sims.append((out / "similarity.sclsim").read_bytes())
+        out = run_fresh(tmp_path, data, threads, method="lightgcn", finetune_epochs=1)
+        checkpoints.append((out / "checkpoint.sclckpt").read_bytes())
+    assert sims[0] == sims[1] and checkpoints[0] == checkpoints[1]

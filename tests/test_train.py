@@ -529,3 +529,31 @@ def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
     pretrain(ds, sim, AugmentationConfig(method="ED"), state, None, LossConfig(),
              small_train_config(pretrain_epochs=1, batch_size=2))
     assert sizes == [(0, 2), (0, 2)] + [(5, 2)] * 4
+
+
+def similar_pairs_matrix_loop(neighbors, n):
+    """`_similar_pairs_matrix` as a per-node loop; oracle."""
+    mat = np.eye(n, dtype=bool)
+    for a, neigh in enumerate(neighbors):
+        mat[a, [b for b, _score in neigh]] = True
+    return mat | mat.T
+
+
+def test_similar_pairs_matrix_matches_per_node_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        neighbors = tuple(
+            () if rng.random() < 0.3 else
+            tuple((int(b), float(rng.random()))
+                  for b in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            for _ in range(n))
+        got = _similar_pairs_matrix(neighbors, n)
+        assert got.dtype == bool and np.array_equal(got, similar_pairs_matrix_loop(neighbors, n))
+    # the index of a real graph, with degree-0 users (empty neighbour lists)
+    ds = dataset_from_pairs(6, 5, {(0, 0), (0, 1), (1, 1), (2, 1), (2, 4), (3, 4)})
+    sim = compute_similarity(ds.train_graph, 2)
+    assert sim.user_neighbors[4] == () and sim.user_neighbors[5] == ()
+    for neighbors, n in ((sim.user_neighbors, 6), (sim.item_neighbors, 5)):
+        assert np.array_equal(_similar_pairs_matrix(neighbors, n),
+                              similar_pairs_matrix_loop(neighbors, n))
