@@ -21,9 +21,8 @@ import numpy as np
 
 from sclrec.augment import AugmentationConfig, compute_similarity, save_similarity
 from sclrec.dataset import ParseError, load_ml100k, split_train_test
-from sclrec.gcn import init_embeddings, load_checkpoint, propagate, save_checkpoint
+from sclrec.gcn import init_embeddings, load_checkpoint, save_checkpoint
 from sclrec.loss import LossConfig
-from sclrec.metrics import evaluate
 from sclrec.train import TrainConfig, finetune, pretrain
 
 METHODS = ("lightgcn", "sgl", "scl-nd", "scl-ed", "scl-nr")
@@ -133,11 +132,10 @@ def cmd_run(config: RunConfig) -> int:
     if len(dataset.test_keys) == 0:
         return fail(f"{config.data_path}: the split leaves no test interactions "
                     "(every user has a single interaction)")
-    graph = dataset.train_graph
     sim_index = None
-    if config.method.startswith("scl-"):
+    if config.method.startswith("scl-"):  # supervised InfoNCE; sgl pretrains without the index
         try:
-            sim_index = compute_similarity(graph, config.top_n)
+            sim_index = compute_similarity(dataset.train_graph, config.top_n)
         except ValueError as exc:
             return fail(f"{config.data_path}: {exc}")
     out = Path(config.out_dir)
@@ -159,18 +157,15 @@ def cmd_run(config: RunConfig) -> int:
     try:  # overflow and NaN end in adam_step's finiteness check, reported as one line below
         with np.errstate(over="ignore", invalid="ignore"):
             if config.method != "lightgcn":
-                objective = "infonce" if config.method == "sgl" else "s_infonce"
-                state, head, _curve = pretrain(dataset, sim_index, aug, state, head,
-                                               loss_cfg, train_cfg, objective=objective,
-                                               log_fn=log_fn)
+                state, head, _curve = pretrain(dataset, sim_index, aug, state, loss_cfg,
+                                               train_cfg, log_fn=log_fn)
             stage = "finetune"
-            state, _history = finetune(dataset, state, loss_cfg, train_cfg, log_fn=log_fn)
+            state, report, _history = finetune(dataset, state, loss_cfg, train_cfg,
+                                               log_fn=log_fn)
     except FloatingPointError as exc:  # adam_step's non-finite gradient check
         return fail(f"{stage}: {exc}")
 
     save_checkpoint(out / "checkpoint.sclckpt", state, head)
-    prop = propagate(state, graph)
-    report = evaluate(prop.final_user, prop.final_item, dataset)
     csv_text = report.csv_header() + "\n" + report.csv_row(config.method) + "\n"
     (out / "report.csv").write_text(csv_text)
     (out / "train.log").write_text("".join(line + "\n" for line in log_lines))

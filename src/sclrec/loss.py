@@ -31,31 +31,25 @@ class LossConfig:
 @dataclass
 class ContrastBatch:
     """2N projected rows (two views per anchor node, interleaved) plus the
-    positive / valid-negative pair masks.
+    positive pair mask.
 
-    Masks are boolean 2N x 2N with false diagonals; the positive mask is
-    symmetric, the two masks are disjoint, and together with the diagonal they
-    cover every pair.
+    The mask is boolean 2N x 2N, symmetric, with a false diagonal. Every other
+    pair of rows is a negative: the negatives are the positives' off-diagonal
+    complement.
     """
 
     z: np.ndarray
     positive_mask: np.ndarray
-    valid_negative_mask: np.ndarray
 
     def __post_init__(self):
         n = self.z.shape[0]
         if n % 2 != 0:
             raise ValueError("z must hold an even number of rows (two views per anchor)")
-        pos, neg = self.positive_mask, self.valid_negative_mask
-        for name, mask in (("positive_mask", pos), ("valid_negative_mask", neg)):
-            if mask.shape != (n, n):
-                raise ValueError(f"{name} shape {mask.shape} != ({n}, {n})")
-            if mask.diagonal().any():
-                raise ValueError(f"{name} has true diagonal entries")
-        if (pos & neg).any():
-            raise ValueError("positive and negative masks overlap")
-        if np.count_nonzero(pos) + np.count_nonzero(neg) != n * n - n:  # disjoint, no diagonal
-            raise ValueError("masks plus diagonal must cover all pairs")
+        pos = self.positive_mask
+        if pos.shape != (n, n):
+            raise ValueError(f"positive_mask shape {pos.shape} != ({n}, {n})")
+        if pos.diagonal().any():
+            raise ValueError("positive_mask has true diagonal entries")
         if not all((pos[r, c] == pos[c, r].T).all() for r, c in _block_pairs(n)):
             raise ValueError("positive_mask must be symmetric")
 
@@ -108,13 +102,12 @@ def info_nce(z: np.ndarray, tau: float):
         raise ValueError("need an even number >= 2 of rows")
     pos = np.zeros((n, n), dtype=bool)
     pos[np.arange(n), np.arange(n) ^ 1] = True
-    neg = ~(pos | np.eye(n, dtype=bool))
-    return s_info_nce(ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg), tau, "all")
+    return s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau, "all")
 
 
 def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives"):
     """Supervised contrastive loss: per anchor, log of (sum over positives) over
-    (sum over valid negatives), as a mean over all 2N anchors.
+    (sum over negatives), as a mean over all 2N anchors.
 
     denominator="negatives" excludes positives from the denominator (the
     printed form; the loss can go negative). denominator="all" uses every
@@ -124,14 +117,15 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.float64)
     n = z.shape[0]
-    if not batch.positive_mask.any(axis=1).all():
+    rows, cols = np.nonzero(batch.positive_mask)  # row-major, so rows ascend
+    counts = np.bincount(rows, minlength=n)
+    if not counts.all():
         raise ValueError("every anchor needs at least one positive")
-    if denominator == "negatives" and not batch.valid_negative_mask.any(axis=1).all():
+    if denominator == "negatives" and (counts == n - 1).any():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
     s = z_hat @ z_hat.T
     s /= tau
-    rows, cols = np.nonzero(batch.positive_mask)  # row-major, so rows ascend
     starts = np.searchsorted(rows, np.arange(n))
     s_pos = s[rows, cols]
     m_pos = np.maximum.reduceat(s_pos, starts)
@@ -180,7 +174,7 @@ def s_info_nce_reference(batch: ContrastBatch, tau: float,
                   for j in range(n) if batch.positive_mask[i, j])
         if denominator == "negatives":
             den = sum(np.exp(z_hat[i] @ z_hat[k] / tau)
-                      for k in range(n) if batch.valid_negative_mask[i, k])
+                      for k in range(n) if k != i and not batch.positive_mask[i, k])
         else:
             den = sum(np.exp(z_hat[i] @ z_hat[k] / tau) for k in range(n) if k != i)
         total += -np.log(num / den)

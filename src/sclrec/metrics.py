@@ -71,24 +71,23 @@ def map_at_k(ranked, relevant_set, k: int) -> float:
     return precision_sum / min(k, len(relevant_set))
 
 
-def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset,
-             cutoffs=DEFAULT_CUTOFFS) -> RankingReport:
-    """Mean per-user metrics over users with at least one test interaction.
+def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset) -> RankingReport:
+    """Mean per-user metrics at DEFAULT_CUTOFFS over users with at least one
+    test interaction.
 
     Scores EVAL_BLOCK users per matrix product with their training items set
     to -inf, so each user's ranking is `rank_items` followed by its excluded
-    items; only the top max(cutoffs) ranks are ordered. Per-rank and per-user
-    sums run in rank and user order, as the scalar metric functions add them.
+    items; only the top max(DEFAULT_CUTOFFS) ranks are ordered. Per-rank and
+    per-user sums run in rank and user order, as the scalar metric functions
+    add them.
     """
-    if min(cutoffs) < 1:
-        raise ValueError(f"cutoffs must be >= 1, got {tuple(cutoffs)}")
     num_items = dataset.num_items
     test_keys = dataset.test_keys
     users, num_relevant = np.unique(test_keys // num_items, return_counts=True)
     if not len(users):
         raise ValueError("no users with test interactions to evaluate")
     train_users, train_items = np.divmod(dataset.train_keys, num_items)
-    k_max = min(max(cutoffs), num_items)
+    k_max = min(max(DEFAULT_CUTOFFS), num_items)
     ranks = np.arange(1, k_max + 1)
     discount = 1.0 / np.log2(ranks + 1)
     ideal = np.cumsum(discount)
@@ -109,7 +108,7 @@ def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset,
     first = np.where(hits.any(axis=1), hits.argmax(axis=1), k_max)
     n = len(users)
     means = {m: {} for m in ("map", "mrr", "ndcg")}
-    for k in cutoffs:
+    for k in DEFAULT_CUTOFFS:
         kk = min(k, k_max)
         depth = np.minimum(k, num_relevant)
         per_user = {

@@ -19,6 +19,10 @@ from sclrec.metrics import evaluate
 
 logger = logging.getLogger("sclrec.train")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -27,9 +31,6 @@ class TrainConfig:
     pretrain_epochs: int = 200
     finetune_epochs: int = 400
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eval_every: int = 10
     patience: int = 50  # epochs without NDCG@10 improvement before stopping
     dtype: str = "float32"
@@ -68,7 +69,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     operation at a time, in that order, into the state's work buffers."""
     state.step += 1
     t = state.step
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         if not np.isfinite(g).all():
@@ -87,7 +88,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         step *= config.lr
         np.divide(v, 1 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += config.adam_eps
+        denom += ADAM_EPS
         step /= denom
         p -= step
 
@@ -104,22 +105,18 @@ def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, offset: int,
                                pair_mat: np.ndarray | None, tau: float,
-                               denominator: str = "negatives", num_users: int | None = None):
+                               denominator: str = "negatives", *, num_users: int):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     Propagates e0 through both view adjacencies, projects the batch rows of
     each view (interleaved), applies supervised InfoNCE over `pair_mat` (true
     diagonal) or, when it is None, SGL's InfoNCE, and chains the gradient
     back to e0 and the head parameters. The backward runs on the batch's side
-    of `num_users` (default: `offset` for items, len(pair_mat) for users).
+    of `num_users`.
 
     Returns (loss, grad_e0, head_grads); (None, None, None) when the batch has
-    an anchor without any valid negative.
+    an anchor without any negative.
     """
-    if num_users is None:
-        if offset == 0 and pair_mat is None:
-            raise ValueError("num_users is needed for a user batch without pair_mat")
-        num_users = offset or len(pair_mat)
     final1 = _propagate_raw(e0, adj1, L)
     final2 = _propagate_raw(e0, adj2, L)
     rows = nodes + offset
@@ -134,14 +131,13 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     if pair_mat is None:
         loss, grad_z = info_nce(z64, tau)
     else:
-        # row 2s + a is view a of nodes[s]
-        pos = np.repeat(np.repeat(pair_mat[np.ix_(nodes, nodes)], 2, axis=0), 2, axis=1)
-        neg = ~pos  # pair_mat's diagonal is true, so neg's is false
-        np.fill_diagonal(pos, False)
-        if not neg.any(axis=1).all():
+        v = np.repeat(nodes, 2)  # row 2s + a is view a of nodes[s]
+        pos = pair_mat[np.ix_(v, v)]
+        if pos.all(axis=1).any():  # pair_mat's diagonal is true: a full row has no negative
             return None, None, None
-        batch = ContrastBatch(z=z64, positive_mask=pos, valid_negative_mask=neg)
-        loss, grad_z = s_info_nce(batch, tau, denominator=denominator)
+        np.fill_diagonal(pos, False)
+        loss, grad_z = s_info_nce(ContrastBatch(z=z64, positive_mask=pos), tau,
+                                  denominator=denominator)
     grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype))
     grad_final1 = np.zeros_like(e0)
     grad_final2 = np.zeros_like(e0)
@@ -155,33 +151,25 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
 
 
 def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
-             head: ProjectionHead | None, loss_config: LossConfig,
-             train_config: TrainConfig, objective: str = "s_infonce",
-             log_fn=None):
-    """Contrastive pretraining of the layer-0 embeddings and projection head.
+             loss_config: LossConfig, train_config: TrainConfig, log_fn=None):
+    """Contrastive pretraining of the layer-0 embeddings and a fresh projection head.
 
     Per epoch: two fresh augmented views; users and items batched separately
     (shuffled); each batch projects both views' propagated embeddings and
-    applies the contrastive objective; Adam updates e0 and the head.
+    applies supervised InfoNCE over `sim_index`'s pairs or, when it is None,
+    SGL's InfoNCE; Adam updates e0 and the head.
 
     Returns (state, head, loss_curve) with one mean batch loss per epoch.
     """
-    if objective not in ("infonce", "s_infonce"):
-        raise ValueError(f"unknown objective {objective!r}; expected 'infonce' or 's_infonce'")
-    if objective == "s_infonce" and sim_index is None:
-        raise ValueError("objective 's_infonce' needs a similarity index")
     dtype = train_config.np_dtype
     graph = dataset.train_graph
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 101]))
     e0 = state.stacked().astype(dtype)
-    if head is None:
-        head = init_head(state.d, state.d, state.d, train_config.seed, dtype=dtype)
-    head = ProjectionHead(head.w1.astype(dtype), head.b1.astype(dtype),
-                          head.w2.astype(dtype), head.b2.astype(dtype))
+    head = init_head(state.d, state.d, state.d, train_config.seed, dtype=dtype)
     params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
     adam = AdamState(params)
     pair_user = pair_item = None
-    if objective == "s_infonce":
+    if sim_index is not None:
         pair_user = _similar_pairs_matrix(sim_index.user_neighbors, dataset.num_users)
         pair_item = _similar_pairs_matrix(sim_index.item_neighbors, dataset.num_items)
     loss_curve = []
@@ -289,8 +277,10 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     """BPR fine-tuning on the full training graph; only e0 is updated.
 
     Early-stops on NDCG@10 (evaluated every eval_every epochs, patience in
-    epochs) and returns the best-scoring state plus the metric history as a
-    list of (epoch, mean_loss, ndcg10-or-None).
+    epochs). Returns (best_state, best_report, history): the best-scoring
+    state, the `RankingReport` of the evaluation that chose it (None without
+    test interactions), and the metric history as a list of
+    (epoch, mean_loss, ndcg10-or-None).
     """
     dtype = train_config.np_dtype
     adj = norm_adj_as(dataset.train_graph, dtype)
@@ -310,16 +300,15 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         return EmbeddingState(user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy(),
                               d=state.d, L=state.L)
 
-    def eval_ndcg():
+    def eval_report():
         final = _propagate_raw(e0, adj, state.L)
-        return evaluate(final[:nu], final[nu:], dataset).ndcg_at[10]
+        return evaluate(final[:nu], final[nu:], dataset)
 
-    history = []
     can_eval = len(dataset.test_keys) > 0
-    best_ndcg = eval_ndcg() if can_eval else None
+    best_report = eval_report() if can_eval else None
     best_state = snapshot()
     best_epoch = 0
-    history.append((0, None, best_ndcg))
+    history = [(0, None, best_report.ndcg_at[10] if can_eval else None)]
     for epoch in range(1, train_config.finetune_epochs + 1):
         neg_all = _sample_negatives(users_all, train_keys, dataset.num_items, rng)
         order = rng.permutation(n_pairs)
@@ -334,9 +323,10 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         epoch_loss = float(np.mean(losses)) if losses else float("nan")
         ndcg = None
         if can_eval and epoch % train_config.eval_every == 0:
-            ndcg = eval_ndcg()
-            if ndcg > best_ndcg:
-                best_ndcg, best_state, best_epoch = ndcg, snapshot(), epoch
+            report = eval_report()
+            ndcg = report.ndcg_at[10]
+            if ndcg > best_report.ndcg_at[10]:
+                best_report, best_state, best_epoch = report, snapshot(), epoch
         history.append((epoch, epoch_loss, ndcg))
         line = f"stage=finetune epoch={epoch} loss={epoch_loss:.6f}"
         if ndcg is not None:
@@ -346,4 +336,4 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
             break
     if not can_eval:
         best_state = snapshot()
-    return best_state, history
+    return best_state, best_report, history

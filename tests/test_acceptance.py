@@ -49,7 +49,7 @@ def test_criterion_1_loss_gradients_vs_finite_differences():
         _, g = s_info_nce(batch, tau)
 
         def f(zz, b=batch, t=tau):
-            return s_info_nce(ContrastBatch(zz, b.positive_mask, b.valid_negative_mask), t)[0]
+            return s_info_nce(ContrastBatch(zz, b.positive_mask), t)[0]
 
         assert np.allclose(g, fd_grad(f, batch.z, 1e-4), rtol=1e-4, atol=1e-7)
 
@@ -65,8 +65,7 @@ def test_criterion_1_cosine_scale_invariance():
         assert li2 == pytest.approx(li, rel=1e-10)
         batch = random_contrast_batch(rng, n // 2, 5)
         ls, _ = s_info_nce(batch, 0.3)
-        ls2, _ = s_info_nce(ContrastBatch(batch.z * scale, batch.positive_mask,
-                                          batch.valid_negative_mask), 0.3)
+        ls2, _ = s_info_nce(ContrastBatch(batch.z * scale, batch.positive_mask), 0.3)
         assert ls2 == pytest.approx(ls, rel=1e-10)
 
 
@@ -203,8 +202,7 @@ def test_criterion_3_trivial_values():
     pair = np.eye(2, dtype=bool)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(4, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     loss, _ = s_info_nce(batch, 1.0)
     assert loss == pytest.approx(np.log(2), abs=1e-9)
 
@@ -242,10 +240,9 @@ def _run_method(method, seed):
         aug_method = {"sgl": "ED", "scl-nd": "ND", "scl-ed": "ED", "scl-nr": "NR"}[method]
         aug = AugmentationConfig(rho1=0.1, rho2=0.1, rho3=0.1, k_segments=4,
                                  top_n=10, method=aug_method)
-        objective = "infonce" if method == "sgl" else "s_infonce"
-        state, _, _ = pretrain(ds, sim, aug, state, None, loss_cfg, train_cfg,
-                               objective=objective)
-    state, _ = finetune(ds, state, loss_cfg, train_cfg)
+        state, _, _ = pretrain(ds, None if method == "sgl" else sim, aug, state, loss_cfg,
+                               train_cfg)
+    state, _, _ = finetune(ds, state, loss_cfg, train_cfg)
     graph = build_graph(ds.train, ds.num_users, ds.num_items)
     prop = propagate(state, graph)
     report = evaluate(prop.final_user, prop.final_item, ds)
@@ -304,7 +301,7 @@ def test_criterion_6_clone_separation():
     aug = AugmentationConfig(method="ED", rho2=0.1, top_n=10)
     cfg = TrainConfig(lr=0.01, batch_size=64, pretrain_epochs=100, seed=1,
                       dtype="float64")
-    state, _, _ = pretrain(ds, sim, aug, state, None, LossConfig(tau=0.2), cfg)
+    state, _, _ = pretrain(ds, sim, aug, state, LossConfig(tau=0.2), cfg)
     final = propagate(state, graph).final_user
     unit = final / np.linalg.norm(final, axis=1, keepdims=True)
     cos = unit @ unit.T

@@ -26,7 +26,8 @@ def s_info_nce_reference(batch, tau, denominator="negatives"):
     n = z.shape[0]
     if not batch.positive_mask.any(axis=1).all():
         raise ValueError("every anchor needs at least one positive")
-    if denominator == "negatives" and not batch.valid_negative_mask.any(axis=1).all():
+    neg = ~(batch.positive_mask | np.eye(n, dtype=bool))  # k != i and not pos[i, k]
+    if denominator == "negatives" and not neg.any(axis=1).all():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
     s = (z_hat @ z_hat.T) / tau
@@ -59,9 +60,7 @@ def info_nce_reference(z, tau):
         raise ValueError("need an even number >= 2 of rows")
     pos = np.zeros((n, n), dtype=bool)
     pos[np.arange(n), np.arange(n) ^ 1] = True
-    neg = ~(pos | np.eye(n, dtype=bool))
-    return s_info_nce_reference(ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg),
-                                tau, "all")
+    return s_info_nce_reference(ContrastBatch(z=z, positive_mask=pos), tau, "all")
 
 
 def layer_mean_reference(e0, adj, L, side=None):
@@ -91,9 +90,8 @@ def coview_batch(n, seed):
     np.fill_diagonal(pair, True)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(n, dtype=bool))
     z = rng.normal(size=(n, 24))
-    return ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    return ContrastBatch(z=z, positive_mask=pos)
 
 
 def assert_same(got, want):
@@ -125,8 +123,7 @@ def test_anti_aligned_small_tau_matches_out_of_place_algebra():
     v = np.array([0.6, -0.8, 0.0])
     z = np.stack([v, 2.0 * v, -v, -0.5 * v])
     pos = np.kron(np.eye(2, dtype=bool), ~np.eye(2, dtype=bool))
-    neg = ~(pos | np.eye(4, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     for denominator in ("negatives", "all"):
         assert_same(s_info_nce(batch, 0.01, denominator),
                     s_info_nce_reference(batch, 0.01, denominator))

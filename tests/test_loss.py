@@ -24,8 +24,7 @@ def random_contrast_batch(rng, n_anchors, d):
         pair[0, 0] = True
         pos = np.kron(pair, np.ones((2, 2), dtype=bool))
         np.fill_diagonal(pos, False)
-        neg = ~(pos | np.eye(n, dtype=bool))
-    return ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    return ContrastBatch(z=z, positive_mask=pos)
 
 
 def fd_grad(f, z, eps=1e-6):
@@ -143,8 +142,7 @@ def test_s_info_nce_equal_sims_count_ratio():
     pair = np.eye(2, dtype=bool)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(4, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     loss, _ = s_info_nce(batch, tau=1.0)
     assert loss == pytest.approx(np.log(2), abs=1e-9)
 
@@ -155,8 +153,7 @@ def test_s_info_nce_coview_all_denominator_reduces_to_info_nce():
     pair = np.eye(4, dtype=bool)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(8, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     loss_s, grad_s = s_info_nce(batch, tau=0.5, denominator="all")
     loss_i, grad_i = info_nce(z, tau=0.5)
     assert loss_s == pytest.approx(loss_i, rel=1e-12)
@@ -182,7 +179,7 @@ def test_s_info_nce_gradient_finite_differences():
         _, grad = s_info_nce(batch, tau)
 
         def f(zz, b=batch, t=tau):
-            return s_info_nce(ContrastBatch(zz, b.positive_mask, b.valid_negative_mask), t)[0]
+            return s_info_nce(ContrastBatch(zz, b.positive_mask), t)[0]
 
         num = fd_grad(f, batch.z, eps=1e-4)
         assert np.allclose(grad, num, rtol=1e-4, atol=1e-7)
@@ -196,8 +193,7 @@ def test_s_info_nce_can_be_negative():
     pair = np.eye(2, dtype=bool)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(4, dtype=bool))
-    loss, _ = s_info_nce(ContrastBatch(z, pos, neg), tau=0.1)
+    loss, _ = s_info_nce(ContrastBatch(z, pos), tau=0.1)
     assert loss < 0.0
 
 
@@ -215,8 +211,7 @@ def test_s_info_nce_monotone_in_similarity():
         pair = np.eye(2, dtype=bool)
         pos = np.kron(pair, np.ones((2, 2), dtype=bool))
         np.fill_diagonal(pos, False)
-        neg = ~(pos | np.eye(4, dtype=bool))
-        return s_info_nce(ContrastBatch(z, pos, neg), tau=0.5)[0]
+        return s_info_nce(ContrastBatch(z, pos), tau=0.5)[0]
 
     assert make(0.9, 0.2) < make(0.1, 0.2)   # positive closer -> loss down
     assert make(0.5, 0.9) > make(0.5, 0.1)   # negative closer -> loss up
@@ -232,8 +227,7 @@ def test_cosine_scale_invariance():
     assert li2 == pytest.approx(li, rel=1e-10)
     batch = random_contrast_batch(rng, 4, 5)
     ls, _ = s_info_nce(batch, 0.4)
-    ls2, _ = s_info_nce(ContrastBatch(batch.z * scales[:, None],
-                                      batch.positive_mask, batch.valid_negative_mask), 0.4)
+    ls2, _ = s_info_nce(ContrastBatch(batch.z * scales[:, None], batch.positive_mask), 0.4)
     assert ls2 == pytest.approx(ls, rel=1e-10)
 
 
@@ -242,40 +236,39 @@ def test_contrast_batch_invariants_enforced():
     eye = np.eye(4, dtype=bool)
     pos = np.zeros((4, 4), dtype=bool)
     pos[0, 1] = pos[1, 0] = pos[2, 3] = pos[3, 2] = True
-    neg = ~(pos | eye)
-    ContrastBatch(z, pos, neg)  # valid
+    ContrastBatch(z, pos)  # valid
     with pytest.raises(ValueError, match="diagonal"):
-        ContrastBatch(z, pos | eye, neg)
-    with pytest.raises(ValueError, match="overlap"):
-        ContrastBatch(z, pos, neg | pos)
-    with pytest.raises(ValueError, match="cover"):
-        bad_neg = neg.copy()
-        bad_neg[0, 2] = False
-        ContrastBatch(z, pos, bad_neg)
+        ContrastBatch(z, pos | eye)
     with pytest.raises(ValueError, match="symmetric"):
         asym = pos.copy()
         asym[0, 2] = True  # one-directional positive
-        ContrastBatch(z, asym, ~(asym | eye))
+        ContrastBatch(z, asym)
 
 
 def test_s_info_nce_error_cases():
     z = np.ones((4, 2))
     eye = np.eye(4, dtype=bool)
     pos = ~eye  # everything positive -> no negatives anywhere
-    neg = np.zeros((4, 4), dtype=bool)
-    batch = ContrastBatch(z, pos, neg)
+    batch = ContrastBatch(z, pos)
     with pytest.raises(ValueError, match="denominator"):
         s_info_nce(batch, 1.0)
+    # row 0 pairs with every other row, and only row 0 lacks a negative
+    pos = np.zeros((4, 4), dtype=bool)
+    pos[0, 1:] = pos[1:, 0] = pos[2, 3] = pos[3, 2] = True
+    batch = ContrastBatch(np.random.default_rng(12).normal(size=(4, 3)), pos)
+    with pytest.raises(ValueError, match=r"^anchor with empty denominator$"):
+        s_info_nce(batch, 0.5)
+    assert s_info_nce(batch, 0.5, denominator="all")[0] == pytest.approx(
+        s_info_nce_reference(batch, 0.5, denominator="all"), rel=1e-12)
 
 
 def test_contrast_batch_rejects_odd_rows_and_misshaped_masks():
     pos = np.zeros((4, 4), dtype=bool)
     pos[0, 1] = pos[1, 0] = pos[2, 3] = pos[3, 2] = True
-    neg = ~(pos | np.eye(4, dtype=bool))
     with pytest.raises(ValueError, match=r"^z must hold an even number of rows"):
-        ContrastBatch(np.ones((3, 2)), pos[:3, :3], neg[:3, :3])
-    with pytest.raises(ValueError, match=r"^valid_negative_mask shape \(4, 3\) != \(4, 4\)$"):
-        ContrastBatch(np.ones((4, 2)), pos, neg[:, :3])
+        ContrastBatch(np.ones((3, 2)), pos[:3, :3])
+    with pytest.raises(ValueError, match=r"^positive_mask shape \(4, 3\) != \(4, 4\)$"):
+        ContrastBatch(np.ones((4, 2)), pos[:, :3])
 
 
 @pytest.mark.parametrize("rows", [0, 3])
@@ -285,10 +278,9 @@ def test_info_nce_rejects_odd_or_empty_rows(rows):
 
 
 def test_s_info_nce_rejects_unknown_denominator_and_anchor_without_positive():
-    eye = np.eye(4, dtype=bool)
     pos = np.zeros((4, 4), dtype=bool)
     pos[0, 1] = pos[1, 0] = True  # rows 2 and 3 have no positive
-    batch = ContrastBatch(np.eye(4, 3), pos, ~(pos | eye))
+    batch = ContrastBatch(np.eye(4, 3), pos)
     with pytest.raises(ValueError, match=r"^unknown denominator mode 'none'$"):
         s_info_nce(batch, 1.0, denominator="none")
     with pytest.raises(ValueError, match=r"^every anchor needs at least one positive$"):
@@ -312,7 +304,7 @@ def contrast_cases(draw):
         assume(neg.any(axis=1).all())
     z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, 3))
     tau = draw(st.floats(0.01, 2.0))
-    return ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg), tau, mode
+    return ContrastBatch(z=z, positive_mask=pos), tau, mode
 
 
 def assert_radial_free(grad, z):
@@ -342,8 +334,7 @@ def test_s_info_nce_anti_aligned_negatives_small_tau():
     v = np.array([0.6, -0.8, 0.0])
     z = np.stack([v, 2.0 * v, -v, -0.5 * v])
     pos = np.kron(np.eye(2, dtype=bool), ~np.eye(2, dtype=bool))
-    neg = ~(pos | np.eye(4, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     loss, grad = s_info_nce(batch, 0.01)
     assert loss == pytest.approx(np.log(2.0) - 200.0, rel=1e-12)
     assert loss == pytest.approx(s_info_nce_reference(batch, 0.01), rel=1e-12)
@@ -371,8 +362,7 @@ def test_contrastive_losses_peak_memory_bound():
     np.fill_diagonal(pair, True)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(n, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     bound = 3 * n * n * 8
     assert peak_bytes(s_info_nce, batch, 0.2) <= bound
     assert peak_bytes(info_nce, z, 0.2) <= bound
@@ -381,16 +371,15 @@ def test_contrastive_losses_peak_memory_bound():
 def test_contrast_batch_rejects_one_asymmetric_entry_far_off_diagonal():
     # blocks of 600 rows: the entry and its mirror sit in different block pairs
     n = 600
-    eye = np.eye(n, dtype=bool)
     pos = np.zeros((n, n), dtype=bool)
     pos[np.arange(n), np.arange(n) ^ 1] = True
     z = np.ones((n, 2))
-    ContrastBatch(z, pos, ~(pos | eye))  # symmetric: valid
+    ContrastBatch(z, pos)  # symmetric: valid
     for r, c in ((3, 590), (590, 3), (300, 10), (255, 256), (5, 100)):
         asym = pos.copy()
         asym[r, c] = True
         with pytest.raises(ValueError, match="positive_mask must be symmetric"):
-            ContrastBatch(z, asym, ~(asym | eye))
+            ContrastBatch(z, asym)
 
 
 def test_contrastive_losses_hold_one_dense_matrix():
@@ -405,23 +394,7 @@ def test_contrastive_losses_hold_one_dense_matrix():
     np.fill_diagonal(pair, True)
     pos = np.kron(pair, np.ones((2, 2), dtype=bool))
     np.fill_diagonal(pos, False)
-    neg = ~(pos | np.eye(n, dtype=bool))
-    batch = ContrastBatch(z=z, positive_mask=pos, valid_negative_mask=neg)
+    batch = ContrastBatch(z=z, positive_mask=pos)
     bound = 1.5 * n * n * 8
     assert peak_bytes(s_info_nce, batch, 0.2) <= bound
     assert peak_bytes(info_nce, z, 0.2) <= bound
-
-
-def test_contrast_batch_rejects_one_uncovered_pair():
-    # disjoint, diagonal-free masks that miss one off-diagonal pair, in either
-    # triangle, near and far from the diagonal
-    n = 600
-    eye = np.eye(n, dtype=bool)
-    pos = np.zeros((n, n), dtype=bool)
-    pos[np.arange(n), np.arange(n) ^ 1] = True
-    z = np.ones((n, 2))
-    for r, c in ((0, 2), (2, 0), (3, 590), (590, 3), (255, 256), (599, 597)):
-        neg = ~(pos | eye)
-        neg[r, c] = False
-        with pytest.raises(ValueError, match="masks plus diagonal must cover all pairs"):
-            ContrastBatch(z, pos, neg)

@@ -189,5 +189,3 @@ def test_evaluate_rejects_non_finite_scores_and_bad_cutoffs():
     fi = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         evaluate(np.array([[1.0, 0.0], [np.nan, 1.0]]), fi, ds)
-    with pytest.raises(ValueError, match="cutoff"):
-        evaluate(np.eye(2), fi, ds, cutoffs=(0, 3))

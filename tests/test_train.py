@@ -5,9 +5,9 @@ from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_embeddings, init_head
 from sclrec.loss import LossConfig, bpr_loss, s_info_nce
-from sclrec.train import (AdamState, TrainConfig, adam_step, bpr_loss_and_grads,
-                          contrastive_loss_and_grads, finetune, pretrain,
-                          _similar_pairs_matrix)
+from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig,
+                          adam_step, bpr_loss_and_grads, contrastive_loss_and_grads,
+                          finetune, pretrain, _similar_pairs_matrix)
 
 from conftest import dataset_from_pairs
 
@@ -43,7 +43,7 @@ def test_adam_first_step_hand_formula():
     p = {"x": np.zeros(2)}
     adam_step(p, {"x": g}, AdamState(p), cfg)
     # with zero moments, m_hat = g and v_hat = g^2 after bias correction
-    expected = -cfg.lr * g / (np.abs(g) + cfg.adam_eps)
+    expected = -cfg.lr * g / (np.abs(g) + ADAM_EPS)
     assert np.allclose(p["x"], expected, rtol=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_pretrain_zero_epochs_untouched():
     state = init_embeddings(ds.num_users, ds.num_items, 8, seed=1)
     before = state.stacked().copy()
     out, head, curve = pretrain(ds, sim, AugmentationConfig(method="ED"),
-                                state, None, LossConfig(), small_train_config(pretrain_epochs=0))
+                                state, LossConfig(), small_train_config(pretrain_epochs=0))
     assert np.array_equal(out.stacked(), before)
     assert curve == []
 
@@ -89,7 +89,7 @@ def test_pretrain_loss_decreases():
     sim = compute_similarity(graph, 3)
     state = init_embeddings(ds.num_users, ds.num_items, 8, seed=1)
     _, _, curve = pretrain(ds, sim, AugmentationConfig(method="ED", rho2=0.1),
-                           state, None, LossConfig(tau=0.2),
+                           state, LossConfig(tau=0.2),
                            small_train_config(pretrain_epochs=50))
     assert curve[-1] < curve[0]
 
@@ -102,7 +102,7 @@ def test_pretrain_deterministic():
     for _ in range(2):
         state = init_embeddings(ds.num_users, ds.num_items, 6, seed=7)
         out, head, curve = pretrain(ds, sim, AugmentationConfig(method="NR"),
-                                    state, None, LossConfig(),
+                                    state, LossConfig(),
                                     small_train_config(pretrain_epochs=4))
         outs.append((out.stacked(), head.w1.copy(), tuple(curve)))
     assert np.array_equal(outs[0][0], outs[1][0])
@@ -112,12 +112,9 @@ def test_pretrain_deterministic():
 
 def test_pretrain_infonce_objective_runs():
     ds = toy_dataset(seed=5)
-    graph = build_graph(ds.train, ds.num_users, ds.num_items)
-    sim = compute_similarity(graph, 3)
     state = init_embeddings(ds.num_users, ds.num_items, 6, seed=1)
-    _, _, curve = pretrain(ds, sim, AugmentationConfig(method="ED"), state, None,
-                           LossConfig(), small_train_config(pretrain_epochs=3),
-                           objective="infonce")
+    _, _, curve = pretrain(ds, None, AugmentationConfig(method="ED"), state,
+                           LossConfig(), small_train_config(pretrain_epochs=3))
     assert len(curve) == 3 and all(np.isfinite(curve))
 
 
@@ -135,7 +132,7 @@ def test_pretrain_end_to_end_gradient_check():
     pair = _similar_pairs_matrix(sim.user_neighbors, ds.num_users)
     nodes = np.arange(ds.num_users)
     loss, grad_e0, _ = contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0,
-                                                  pair, tau=0.5)
+                                                  pair, tau=0.5, num_users=ds.num_users)
     assert loss is not None
     rng2 = np.random.default_rng(1)
     eps = 1e-5
@@ -145,8 +142,10 @@ def test_pretrain_end_to_end_gradient_check():
         ep, em = e0.copy(), e0.copy()
         ep[r, c] += eps
         em[r, c] -= eps
-        lp = contrastive_loss_and_grads(ep, adj1, adj2, 2, head, nodes, 0, pair, tau=0.5)[0]
-        lm = contrastive_loss_and_grads(em, adj1, adj2, 2, head, nodes, 0, pair, tau=0.5)[0]
+        lp = contrastive_loss_and_grads(ep, adj1, adj2, 2, head, nodes, 0, pair, tau=0.5,
+                                        num_users=ds.num_users)[0]
+        lm = contrastive_loss_and_grads(em, adj1, adj2, 2, head, nodes, 0, pair, tau=0.5,
+                                        num_users=ds.num_users)[0]
         num = (lp - lm) / (2 * eps)
         assert num == pytest.approx(grad_e0[r, c], rel=1e-3, abs=1e-8)
 
@@ -168,7 +167,7 @@ def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
     head = init_head(4, 4, 4, seed=1)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
     loss, _, _ = contrastive_loss_and_grads(e0, graph.norm_adj, graph.norm_adj, 2, head,
-                                            nodes, 0, pair, tau=0.5)
+                                            nodes, 0, pair, tau=0.5, num_users=ds.num_users)
     assert loss is not None and len(seen) == 1
     n = 2 * len(nodes)
     pos = np.zeros((n, n), dtype=bool)
@@ -177,7 +176,6 @@ def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
             pos[r, c] = r != c and pair[nodes[r // 2], nodes[c // 2]]
     assert pos.any() and not pos.all(axis=1).any()
     assert np.array_equal(seen[0].positive_mask, pos)
-    assert np.array_equal(seen[0].valid_negative_mask, ~pos & ~np.eye(n, dtype=bool))
 
 
 def test_bpr_end_to_end_gradient_check():
@@ -300,14 +298,14 @@ def reference_finetune(dataset, state, lambda_l2, cfg):
             np.add.at(g, bi, reg * ei)
             np.add.at(g, bj, reg * ej)
             step += 1
-            b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1 ** step)
             v_hat = v / (1 - b2 ** step)
-            e0 -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            e0 -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return e0
 
 
@@ -322,7 +320,8 @@ def test_finetune_bit_identical_to_reference():
     ds = dataset_from_pairs(nu, ni, train)
     cfg = small_train_config(finetune_epochs=2, batch_size=7, lr=0.05, dtype="float32")
     state = init_embeddings(nu, ni, 6, seed=4, dtype=np.float32)
-    out, _ = finetune(ds, state, LossConfig(lambda_l2=0.01), cfg)
+    out, report, _ = finetune(ds, state, LossConfig(lambda_l2=0.01), cfg)
+    assert report is None  # no test interactions to evaluate
     expected = reference_finetune(ds, state, 0.01, cfg)
     assert out.stacked().dtype == np.float32
     assert np.array_equal(out.stacked(), expected)
@@ -335,7 +334,7 @@ def test_pretrain_does_not_mutate_inputs():
     sim_before = (tuple(sim.user_neighbors), tuple(sim.item_neighbors))
     train_before = set(ds.train)
     state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
-    pretrain(ds, sim, AugmentationConfig(method="NR"), state, None, LossConfig(),
+    pretrain(ds, sim, AugmentationConfig(method="NR"), state, LossConfig(),
              small_train_config(pretrain_epochs=2))
     assert set(ds.train) == train_before
     assert (tuple(sim.user_neighbors), tuple(sim.item_neighbors)) == sim_before
@@ -344,7 +343,7 @@ def test_pretrain_does_not_mutate_inputs():
 def test_finetune_zero_epochs_evaluates_initial():
     ds = toy_dataset(seed=9)
     state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
-    out, history = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=0))
+    out, _, history = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=0))
     assert len(history) == 1
     assert history[0][0] == 0 and history[0][2] is not None
     assert np.allclose(out.stacked(), state.stacked())
@@ -353,8 +352,8 @@ def test_finetune_zero_epochs_evaluates_initial():
 def test_finetune_loss_decreases():
     ds = toy_dataset(num_users=5, num_items=5, seed=10)
     state = init_embeddings(ds.num_users, ds.num_items, 8, seed=1)
-    _, history = finetune(ds, state, LossConfig(lambda_l2=0.0),
-                          small_train_config(finetune_epochs=10, lr=0.05))
+    _, _, history = finetune(ds, state, LossConfig(lambda_l2=0.0),
+                             small_train_config(finetune_epochs=10, lr=0.05))
     losses = [h[1] for h in history if h[1] is not None]
     assert losses[-1] < losses[0]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:])) or losses[-1] < losses[0]
@@ -365,7 +364,7 @@ def test_finetune_deterministic():
     outs = []
     for _ in range(2):
         state = init_embeddings(ds.num_users, ds.num_items, 4, seed=2)
-        out, history = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=3))
+        out, _, history = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=3))
         outs.append((out.stacked(), tuple((e, l) for e, l, _ in history)))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
@@ -376,14 +375,14 @@ def test_finetune_user_with_all_items_skipped():
     train = {(0, i) for i in range(3)} | {(1, 0)}
     ds = dataset_from_pairs(2, 3, train, test={(1, 1)})
     state = init_embeddings(2, 3, 4, seed=1)
-    out, history = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=2))
+    out, _, history = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=2))
     assert all(np.isfinite(h[1]) for h in history if h[1] is not None)
 
 
 def test_finetune_parameters_stay_finite():
     ds = toy_dataset(seed=12)
     state = init_embeddings(ds.num_users, ds.num_items, 6, seed=3)
-    out, _ = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=5, lr=0.1))
+    out, _, _ = finetune(ds, state, LossConfig(), small_train_config(finetune_epochs=5, lr=0.1))
     assert np.isfinite(out.stacked()).all()
 
 
@@ -403,23 +402,9 @@ def test_pretrain_log_lines():
     sim = compute_similarity(graph, 3)
     state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
     lines = []
-    pretrain(ds, sim, AugmentationConfig(method="ND"), state, None, LossConfig(),
+    pretrain(ds, sim, AugmentationConfig(method="ND"), state, LossConfig(),
              small_train_config(pretrain_epochs=2), log_fn=lines.append)
     assert lines and all(line.startswith("stage=pretrain epoch=") for line in lines)
-
-
-@pytest.mark.parametrize("objective, with_sim, message", [
-    ("info_nce", True, "unknown objective 'info_nce'"),
-    ("s_infonce", False, "needs a similarity index"),
-], ids=["typo", "no-similarity"])
-def test_pretrain_rejects_bad_objective(objective, with_sim, message):
-    ds = toy_dataset(seed=5)
-    graph = build_graph(ds.train, ds.num_users, ds.num_items)
-    sim = compute_similarity(graph, 3) if with_sim else None
-    state = init_embeddings(ds.num_users, ds.num_items, 6, seed=1)
-    with pytest.raises(ValueError, match=message):
-        pretrain(ds, sim, AugmentationConfig(method="ED"), state, None,
-                 LossConfig(), small_train_config(pretrain_epochs=1), objective=objective)
 
 
 def _contrastive_case(seed=16):
@@ -440,51 +425,59 @@ def _contrastive_case(seed=16):
 
 def test_contrastive_one_sided_backward_matches_full(monkeypatch):
     # the one-sided backward against the full two-sided one, bit for bit, for a
-    # user and an item batch, with num_users given and inferred, SCL and SGL
+    # user and an item batch, SCL and SGL
     import sclrec.gcn as gcn
     import sclrec.train as train
 
     ds, e0, adj1, adj2, head, batches = _contrastive_case()
-    cases = [(nodes, offset, pair_mat, num_users)
-             for nodes, offset, pair in batches for pair_mat in (pair, None)
-             for num_users in (ds.num_users, None)
-             if not (pair_mat is None and offset == 0 and num_users is None)]
+    cases = [(nodes, offset, pair_mat)
+             for nodes, offset, pair in batches for pair_mat in (pair, None)]
 
-    def run(nodes, offset, pair_mat, num_users):
+    def run(nodes, offset, pair_mat):
         return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, offset, pair_mat,
-                                          0.5, num_users=num_users)
+                                          0.5, num_users=ds.num_users)
 
     one_sided = [run(*case) for case in cases]
     monkeypatch.setattr(train, "_propagate_raw",
                         lambda e, adj, L, side=None: gcn.layer_mean(e, adj, L))
-    for (nodes, offset, pair_mat, _), (loss, grad, head_grads) in zip(cases, one_sided):
-        ref_loss, ref_grad, ref_head = run(nodes, offset, pair_mat, ds.num_users)
+    for case, (loss, grad, head_grads) in zip(cases, one_sided):
+        ref_loss, ref_grad, ref_head = run(*case)
         assert loss is not None and loss == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
         assert all(np.array_equal(head_grads[name], ref_head[name]) for name in ref_head)
-    assert len(cases) == 7
-
-
-def test_contrastive_sgl_user_batch_needs_num_users():
-    ds, e0, adj1, adj2, head, batches = _contrastive_case()
-    nodes = batches[0][0]
-    with pytest.raises(ValueError, match="num_users"):
-        contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, None, 0.5)
+    assert len(cases) == 4
 
 
 def test_finetune_stops_patience_epochs_after_first_best():
     ds = toy_dataset(seed=1)
     state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
     cfg = small_train_config(finetune_epochs=20, patience=2, lr=0.05)
-    out, history = finetune(ds, state, LossConfig(), cfg)
+    out, _, history = finetune(ds, state, LossConfig(), cfg)
     ndcgs = [ndcg for _, _, ndcg in history]
     best = ndcgs.index(max(ndcgs))
     assert best + 2 < cfg.finetune_epochs
     assert [epoch for epoch, _, _ in history] == list(range(best + 3))
     # the returned state is the one evaluated at `best`, not the last one
-    at_best, _ = finetune(ds, state, LossConfig(),
+    at_best, _, _ = finetune(ds, state, LossConfig(),
                           small_train_config(finetune_epochs=best, lr=0.05))
     assert np.array_equal(out.stacked(), at_best.stacked())
+
+
+def test_finetune_returns_the_report_of_the_best_state():
+    # eval_every = 2, stopped at epoch 20 after its best at epoch 16: the report
+    # is the best state's evaluation, not the initial or the last one
+    from sclrec.gcn import layer_mean
+    from sclrec.metrics import evaluate
+
+    ds = toy_dataset(seed=1)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    cfg = small_train_config(finetune_epochs=30, patience=4, eval_every=2, lr=0.05)
+    out, report, history = finetune(ds, state, LossConfig(), cfg)
+    ndcgs = [ndcg for _, _, ndcg in history if ndcg is not None]
+    assert len(history) - 1 < cfg.finetune_epochs
+    assert report.ndcg_at[10] == max(ndcgs) and max(ndcgs) not in (ndcgs[0], ndcgs[-1])
+    final = layer_mean(out.stacked(), ds.train_graph.norm_adj, state.L)
+    assert report == evaluate(final[:ds.num_users], final[ds.num_users:], ds)
 
 
 def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch, caplog):
@@ -495,7 +488,15 @@ def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch, caplog):
     nodes = batches[0][0]
     everyone = np.ones((ds.num_users, ds.num_users), dtype=bool)
     assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, everyone,
-                                      0.5) == (None, None, None)
+                                      0.5, num_users=ds.num_users) == (None, None, None)
+    # one node pairing with every other is enough; one pair fewer and the batch runs
+    one = np.eye(ds.num_users, dtype=bool)
+    one[nodes[0], nodes] = one[nodes, nodes[0]] = True
+    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, one,
+                                      0.5, num_users=ds.num_users) == (None, None, None)
+    one[nodes[0], nodes[-1]] = one[nodes[-1], nodes[0]] = False
+    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, one,
+                                      0.5, num_users=ds.num_users)[0] is not None
     # pretrain: the one user batch (every user lists every other) is skipped,
     # so only the item batch of each epoch takes an Adam step
     ds = toy_dataset(seed=2, with_test=False)
@@ -506,7 +507,7 @@ def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch, caplog):
     monkeypatch.setattr(train, "adam_step", lambda *args: steps.append(args))
     state = init_embeddings(ds.num_users, ds.num_items, 16, seed=1)  # wide: no dead-relu row
     pretrain(ds, SimilarityIndex(users, sim.item_neighbors), AugmentationConfig(method="ED"),
-             state, None, LossConfig(), small_train_config(pretrain_epochs=3))
+             state, LossConfig(), small_train_config(pretrain_epochs=3))
     assert len(steps) == 3
     assert [r.getMessage() for r in caplog.records] == [
         f"epoch {epoch}: degenerate contrastive batch at offset 0 (no valid negatives "
@@ -526,7 +527,7 @@ def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
     ds = toy_dataset(num_users=5, num_items=8, seed=3, with_test=False)
     sim = compute_similarity(build_graph(ds.train, ds.num_users, ds.num_items), 1)
     state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
-    pretrain(ds, sim, AugmentationConfig(method="ED"), state, None, LossConfig(),
+    pretrain(ds, sim, AugmentationConfig(method="ED"), state, LossConfig(),
              small_train_config(pretrain_epochs=1, batch_size=2))
     assert sizes == [(0, 2), (0, 2)] + [(5, 2)] * 4
 
