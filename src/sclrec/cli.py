@@ -47,7 +47,6 @@ class RunConfig:
     # loss
     tau: float = 0.2
     lambda_l2: float = 1e-4
-    denominator: str = "negatives"
     # optimization
     lr: float = 0.001
     batch_size: int = 1024
@@ -72,7 +71,7 @@ class RunConfig:
         return (AugmentationConfig(rho1=self.rho1, rho2=self.rho2, rho3=self.rho3,
                                    k_segments=self.k_segments, top_n=self.top_n,
                                    method=METHOD_AUG.get(self.method, "ED")),
-                LossConfig(tau=self.tau, lambda_l2=self.lambda_l2, denominator=self.denominator),
+                LossConfig(tau=self.tau, lambda_l2=self.lambda_l2),
                 TrainConfig(lr=self.lr, batch_size=self.batch_size,
                             pretrain_epochs=self.pretrain_epochs,
                             finetune_epochs=self.finetune_epochs, seed=self.seed,
@@ -153,17 +152,15 @@ def cmd_run(config: RunConfig) -> int:
     state = init_embeddings(dataset.num_users, dataset.num_items, config.d,
                             config.seed, dtype=train_cfg.np_dtype, L=config.layers)
     head = None
-    stage = "pretrain"
     try:  # overflow and NaN end in adam_step's finiteness check, reported as one line below
         with np.errstate(over="ignore", invalid="ignore"):
             if config.method != "lightgcn":
                 state, head, _curve = pretrain(dataset, sim_index, aug, state, loss_cfg,
                                                train_cfg, log_fn=log_fn)
-            stage = "finetune"
             state, report, _history = finetune(dataset, state, loss_cfg, train_cfg,
                                                log_fn=log_fn)
-    except FloatingPointError as exc:  # adam_step's non-finite gradient check
-        return fail(f"{stage}: {exc}")
+    except FloatingPointError as exc:  # adam_step's check, named with its stage and epoch
+        return fail(exc)
 
     save_checkpoint(out / "checkpoint.sclckpt", state, head)
     csv_text = report.csv_header() + "\n" + report.csv_row(config.method) + "\n"

@@ -17,15 +17,12 @@ from scipy.special import expit
 class LossConfig:
     tau: float = 0.2
     lambda_l2: float = 1e-4
-    denominator: str = "negatives"  # or "all" (SupCon-style) for ablation
 
     def __post_init__(self):
         if not self.tau > 0:  # NaN fails too
             raise ValueError("tau must be positive")
         if not self.lambda_l2 >= 0:
             raise ValueError("lambda_l2 must be nonnegative")
-        if self.denominator not in ("negatives", "all"):
-            raise ValueError(f"unknown denominator mode {self.denominator!r}")
 
 
 @dataclass

@@ -3,7 +3,6 @@ then BPR fine-tuning, both driven by a from-scratch Adam."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, norm_adj_as,
 from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
 from sclrec.metrics import evaluate
-
-logger = logging.getLogger("sclrec.train")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -103,23 +100,22 @@ def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
 
 
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
-                               head: ProjectionHead, nodes: np.ndarray, offset: int,
-                               pair_mat: np.ndarray | None, tau: float,
-                               denominator: str = "negatives", *, num_users: int):
+                               head: ProjectionHead, nodes: np.ndarray, side: tuple,
+                               pair_mat: np.ndarray | None, tau: float):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
-    Propagates e0 through both view adjacencies, projects the batch rows of
-    each view (interleaved), applies supervised InfoNCE over `pair_mat` (true
-    diagonal) or, when it is None, SGL's InfoNCE, and chains the gradient
-    back to e0 and the head parameters. The backward runs on the batch's side
-    of `num_users`.
+    `nodes` index the rows side = (start, stop) of e0. Propagates e0 through
+    both view adjacencies, projects the batch rows of each view (interleaved),
+    applies supervised InfoNCE over `pair_mat` (true diagonal) or, when it is
+    None, SGL's InfoNCE, and chains the gradient back to e0 (on that side) and
+    the head parameters.
 
     Returns (loss, grad_e0, head_grads); (None, None, None) when the batch has
     an anchor without any negative.
     """
     final1 = _propagate_raw(e0, adj1, L)
     final2 = _propagate_raw(e0, adj2, L)
-    rows = nodes + offset
+    rows = nodes + side[0]
     b = len(nodes)
     h = np.empty((2 * b, e0.shape[1]), dtype=e0.dtype)
     h[0::2] = final1[rows]
@@ -136,28 +132,27 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
         if pos.all(axis=1).any():  # pair_mat's diagonal is true: a full row has no negative
             return None, None, None
         np.fill_diagonal(pos, False)
-        loss, grad_z = s_info_nce(ContrastBatch(z=z64, positive_mask=pos), tau,
-                                  denominator=denominator)
+        loss, grad_z = s_info_nce(ContrastBatch(z=z64, positive_mask=pos), tau)
     grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype))
     grad_final1 = np.zeros_like(e0)
     grad_final2 = np.zeros_like(e0)
     # nodes are distinct, so each row takes one term and needs no scatter-add
     grad_final1[rows] = grad_h[0::2]
     grad_final2[rows] = grad_h[1::2]
-    side = (0, num_users) if offset == 0 else (num_users, len(e0))
     grad_e0 = (_propagate_raw(grad_final1, adj1, L, side=side)
                + _propagate_raw(grad_final2, adj2, L, side=side))
     return loss, grad_e0, head_grads
 
 
 def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
-             loss_config: LossConfig, train_config: TrainConfig, log_fn=None):
+             loss_config: LossConfig, train_config: TrainConfig, log_fn=print):
     """Contrastive pretraining of the layer-0 embeddings and a fresh projection head.
 
     Per epoch: two fresh augmented views; users and items batched separately
     (shuffled); each batch projects both views' propagated embeddings and
     applies supervised InfoNCE over `sim_index`'s pairs or, when it is None,
-    SGL's InfoNCE; Adam updates e0 and the head.
+    SGL's InfoNCE; Adam updates e0 and the head. Each epoch line and each
+    skipped batch's notice goes to `log_fn`.
 
     Returns (state, head, loss_curve) with one mean batch loss per epoch.
     """
@@ -172,36 +167,34 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     if sim_index is not None:
         pair_user = _similar_pairs_matrix(sim_index.user_neighbors, dataset.num_users)
         pair_item = _similar_pairs_matrix(sim_index.item_neighbors, dataset.num_items)
+    nu = dataset.num_users
     loss_curve = []
     for epoch in range(1, train_config.pretrain_epochs + 1):
         v1, v2 = make_views(graph, aug_config, sim_index, rng)
         adj1 = norm_adj_as(v1.graph, dtype)
         adj2 = norm_adj_as(v2.graph, dtype)
         batch_losses = []
-        for offset, count, pair_mat in ((0, dataset.num_users, pair_user),
-                                        (dataset.num_users, dataset.num_items, pair_item)):
-            order = rng.permutation(count)
-            for start in range(0, count, train_config.batch_size):
+        for side, pair_mat in (((0, nu), pair_user), ((nu, nu + dataset.num_items), pair_item)):
+            order = rng.permutation(side[1] - side[0])
+            for start in range(0, len(order), train_config.batch_size):
                 nodes = order[start:start + train_config.batch_size]
                 if len(nodes) < 2:
                     continue
                 loss, grad_e0, head_grads = contrastive_loss_and_grads(
-                    e0, adj1, adj2, state.L, head, nodes, offset, pair_mat,
-                    loss_config.tau, denominator=loss_config.denominator,
-                    num_users=dataset.num_users)
+                    e0, adj1, adj2, state.L, head, nodes, side, pair_mat, loss_config.tau)
                 if loss is None:
-                    logger.warning("epoch %d: degenerate contrastive batch at "
-                                   "offset %d (no valid negatives or zero-norm "
-                                   "projection), skipped", epoch, offset)
+                    log_fn(f"epoch {epoch}: degenerate contrastive batch at offset {side[0]} "
+                           "(no valid negatives or zero-norm projection), skipped")
                     continue
-                adam_step(params, {"emb": grad_e0, **head_grads}, adam, train_config)
+                try:
+                    adam_step(params, {"emb": grad_e0, **head_grads}, adam, train_config)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"pretrain epoch {epoch}: {exc}") from exc
                 batch_losses.append(loss)
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
         loss_curve.append(epoch_loss)
-        line = f"stage=pretrain epoch={epoch} loss={epoch_loss:.6f}"
-        (log_fn or logger.info)(line)
-    out = EmbeddingState(user_emb=e0[: dataset.num_users].copy(),
-                         item_emb=e0[dataset.num_users:].copy(),
+        log_fn(f"stage=pretrain epoch={epoch} loss={epoch_loss:.6f}")
+    out = EmbeddingState(user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy(),
                          d=state.d, L=state.L)
     return out, head, loss_curve
 
@@ -273,14 +266,14 @@ def _sample_negatives(users, train_keys, num_items, rng):
 
 
 def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
-             train_config: TrainConfig, log_fn=None):
+             train_config: TrainConfig, log_fn=print):
     """BPR fine-tuning on the full training graph; only e0 is updated.
 
     Early-stops on NDCG@10 (evaluated every eval_every epochs, patience in
-    epochs). Returns (best_state, best_report, history): the best-scoring
-    state, the `RankingReport` of the evaluation that chose it (None without
-    test interactions), and the metric history as a list of
-    (epoch, mean_loss, ndcg10-or-None).
+    epochs); each epoch line goes to `log_fn`. Returns (best_state,
+    best_report, history): the best-scoring state, the `RankingReport` of the
+    evaluation that chose it (None without test interactions), and the metric
+    history as a list of (epoch, mean_loss, ndcg10-or-None).
     """
     dtype = train_config.np_dtype
     adj = norm_adj_as(dataset.train_graph, dtype)
@@ -319,7 +312,10 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
                 e0, adj, state.L, users_all[sel], items_all[sel] + nu, neg_all[sel] + nu,
                 loss_config.lambda_l2)
             losses.append(loss)
-            adam_step(params, {"emb": grad_e0}, adam, train_config)
+            try:
+                adam_step(params, {"emb": grad_e0}, adam, train_config)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"finetune epoch {epoch}: {exc}") from exc
         epoch_loss = float(np.mean(losses)) if losses else float("nan")
         ndcg = None
         if can_eval and epoch % train_config.eval_every == 0:
@@ -331,7 +327,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         line = f"stage=finetune epoch={epoch} loss={epoch_loss:.6f}"
         if ndcg is not None:
             line += f" ndcg10={ndcg:.6f}"
-        (log_fn or logger.info)(line)
+        log_fn(line)
         if can_eval and epoch - best_epoch >= train_config.patience:
             break
     if not can_eval:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 import sclrec
+from sclrec.augment import AugmentationConfig
 from sclrec.cli import (ConfigError, RunConfig, cmd_compare, config_hash,
                         emit_config, main, parse_config)
+from sclrec.loss import LossConfig
+from sclrec.train import TrainConfig
 
 
 @pytest.fixture
@@ -210,10 +214,23 @@ def test_run_split_ratio_out_of_range_exit_2(tmp_path, data_file, capsys, ratio)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("method, stage", [
-    ("lightgcn", "finetune"), ("sgl", "pretrain"), ("scl-nr", "pretrain")])
+def cli_process(cfg, env=os.environ):
+    """`python -m sclrec.cli run --config cfg` in a fresh interpreter, which
+    prints whatever reaches stderr (numpy's RuntimeWarnings, say) as a user sees it."""
+    src = str(Path(sclrec.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "sclrec.cli", "run", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+# the stage and epoch where lr = 1e30 first meets a non-finite gradient
+NON_FINITE = [("lightgcn", "finetune", 1), ("sgl", "pretrain", 2), ("scl-nr", "pretrain", 2)]
+
+
+@pytest.mark.parametrize("method, stage, epoch", NON_FINITE,
+                         ids=[f"{method}-{stage}" for method, stage, _ in NON_FINITE])
 def test_run_non_finite_gradient_one_error_line_exit_1(tmp_path, data_file, capsys,
-                                                        method, stage):
+                                                        method, stage, epoch):
     # lr = 1e30 overflows the embeddings after one Adam step; the next batch's
     # gradient is not finite
     cfg = write_config(tmp_path, data_file, method=method, lr="1e30")
@@ -222,30 +239,35 @@ def test_run_non_finite_gradient_one_error_line_exit_1(tmp_path, data_file, caps
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: {stage}: non-finite gradient for parameter 'emb'"]
+        f"error: {stage} epoch {epoch}: non-finite gradient for parameter 'emb'"]
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
-@pytest.mark.parametrize("method, stage", [
-    ("lightgcn", "finetune"), ("sgl", "pretrain"), ("scl-nr", "pretrain")])
-def test_run_non_finite_gradient_stderr_is_one_line(tmp_path, data_file, method, stage):
-    # a fresh interpreter prints numpy's RuntimeWarnings to stderr as a user sees them
+@pytest.mark.parametrize("method, stage, epoch", NON_FINITE,
+                         ids=[f"{method}-{stage}" for method, stage, _ in NON_FINITE])
+def test_run_non_finite_gradient_stderr_is_one_line(tmp_path, data_file, method, stage, epoch):
     cfg = write_config(tmp_path, data_file, method=method, lr="1e30")
-    src = Path(sclrec.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "run", "--config", str(cfg)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = cli_process(cfg)
     assert proc.returncode == 1
-    # besides the logger's own skipped-batch warnings, the error line is all of stderr
-    lines = [line for line in proc.stderr.splitlines()
-             if not (line.startswith("epoch ") and line.endswith(", skipped"))]
-    assert lines == [f"error: {stage}: non-finite gradient for parameter 'emb'"]
+    assert proc.stderr == f"error: {stage} epoch {epoch}: non-finite gradient for parameter 'emb'\n"
 
 
-BAD_CONFIG_VALUES = [("tau", "0"), ("rho1", "2"), ("k_segments", "0"), ("denominator", "foo"),
-                     ("batch_size", "0"), ("d", "0"), ("eval_every", "0"), ("dtype", "float13"),
-                     ("layers", "-1"), ("patience", "-5"), ("seed", "-1"), ("tau", "nan"),
+@pytest.mark.parametrize("method", ["sgl", "scl-nr"])
+def test_run_skipped_batch_goes_to_train_log_not_stderr(tmp_path, data_file, method):
+    # at d = 8 one contrastive batch of epoch 1 has a dead-relu row and is skipped
+    cfg = write_config(tmp_path, data_file, method=method)
+    proc = cli_process(cfg)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    skip = ("epoch 1: degenerate contrastive batch at offset 0 (no valid negatives "
+            "or zero-norm projection), skipped")
+    log = (tmp_path / "out" / "train.log").read_text().splitlines()
+    assert log[0] == skip and log[1].startswith("stage=pretrain epoch=1 ")
+    assert skip in proc.stdout.splitlines()
+
+
+BAD_CONFIG_VALUES = [("tau", "0"), ("rho1", "2"), ("k_segments", "0"), ("batch_size", "0"),
+                     ("d", "0"), ("eval_every", "0"), ("dtype", "float13"), ("layers", "-1"), ("patience", "-5"), ("seed", "-1"), ("tau", "nan"),
                      ("lr", "nan"), ("lambda_l2", "nan")]
 
 
@@ -265,15 +287,27 @@ def test_run_bad_config_value_exit_2_before_reading_data(tmp_path, data_file, ca
         parse_config(f"{key} = {value}\n")
 
 
+# RunConfig keys that the run itself reads; `method` also picks the augmentation
+RUN_LEVEL_KEYS = ("data_path", "method", "out_dir", "split_ratio", "d", "layers")
+# a distinct, valid, non-default value for each key a stage config carries
+STAGE_KEY_VALUES = {"rho1": 0.3, "rho2": 0.25, "rho3": 0.35, "k_segments": 2, "top_n": 4,
+                    "tau": 0.5, "lambda_l2": 0.002, "lr": 0.03, "batch_size": 7,
+                    "pretrain_epochs": 11, "finetune_epochs": 13, "seed": 5, "eval_every": 3,
+                    "patience": 9, "dtype": "float64"}
+
+
 def test_stage_configs_carry_the_run_config():
-    cfg = RunConfig(method="scl-nd", rho1=0.3, k_segments=2, top_n=4, tau=0.5,
-                    denominator="all", batch_size=7, eval_every=3, patience=9,
-                    dtype="float64", seed=5)
-    aug, loss, train = cfg.stage_configs()
-    assert (aug.rho1, aug.k_segments, aug.top_n, aug.method) == (0.3, 2, 4, "ND")
-    assert (loss.tau, loss.denominator) == (0.5, "all")
-    assert (train.batch_size, train.eval_every, train.patience, train.dtype, train.seed) == (
-        7, 3, 9, "float64", 5)
+    # every RunConfig key is run-level or arrives in the stage config field of
+    # its name, so a key that reaches nothing fails here
+    keys = {f.name for f in dataclasses.fields(RunConfig)} - set(RUN_LEVEL_KEYS)
+    assert keys == set(STAGE_KEY_VALUES)
+    assert all(getattr(RunConfig(), k) != v for k, v in STAGE_KEY_VALUES.items())
+    assert len({repr(v) for v in STAGE_KEY_VALUES.values()}) == len(STAGE_KEY_VALUES)
+    aug, loss, train = RunConfig(method="scl-nd", **STAGE_KEY_VALUES).stage_configs()
+    assert (type(aug), type(loss), type(train)) == (AugmentationConfig, LossConfig, TrainConfig)
+    landed = {f.name: getattr(c, f.name) for c in (aug, loss, train) for f in dataclasses.fields(c)}
+    assert {k: landed.get(k) for k in STAGE_KEY_VALUES} == STAGE_KEY_VALUES
+    assert aug.method == "ND"
 
 
 @pytest.mark.parametrize("method", ["lightgcn", "sgl", "scl-nr"])
@@ -391,10 +425,7 @@ def run_fresh(tmp_path, data_file, threads, **overrides):
                        top_n=10, **overrides)
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["SCL_THREADS"] = str(threads)
-    src = str(Path(sclrec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "run", "--config", str(cfg)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = cli_process(cfg, env)
     assert proc.returncode == 0, proc.stderr
     return out
 

@@ -148,14 +148,13 @@ def test_contrastive_loss_and_grads_matches_out_of_place_algebra(monkeypatch):
     e0 = rng.normal(0, 0.1, size=(nu + ni, d))
     head = init_head(d, d, d, seed=2)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
-    batches = [(rng.permutation(nu)[:65], 0, _similar_pairs_matrix(sim.user_neighbors, nu)),
-               (rng.permutation(ni)[:65], nu, _similar_pairs_matrix(sim.item_neighbors, ni))]
-    cases = [(nodes, offset, pair_mat, denominator) for nodes, offset, pair in batches
-             for pair_mat, denominator in ((pair, "negatives"), (pair, "all"), (None, "all"))]
+    batches = [(rng.permutation(nu)[:65], (0, nu), _similar_pairs_matrix(sim.user_neighbors, nu)),
+               (rng.permutation(ni)[:65], (nu, nu + ni),
+                _similar_pairs_matrix(sim.item_neighbors, ni))]
+    cases = [(nodes, side, pair_mat) for nodes, side, pair in batches for pair_mat in (pair, None)]
 
-    def run(nodes, offset, pair_mat, denominator):
-        return contrastive_loss_and_grads(e0, adj1, adj2, 3, head, nodes, offset, pair_mat, 0.3,
-                                          denominator=denominator, num_users=nu)
+    def run(nodes, side, pair_mat):
+        return contrastive_loss_and_grads(e0, adj1, adj2, 3, head, nodes, side, pair_mat, 0.3)
 
     got = [run(*case) for case in cases]
     monkeypatch.setattr(train, "s_info_nce", s_info_nce_reference)

@@ -43,8 +43,6 @@ def test_loss_config_validation():
         LossConfig(tau=0.0)
     with pytest.raises(ValueError):
         LossConfig(lambda_l2=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(denominator="sometimes")
 
 
 def test_bpr_zero_margin():

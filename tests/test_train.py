@@ -131,8 +131,9 @@ def test_pretrain_end_to_end_gradient_check():
     head = init_head(5, 5, 5, seed=2)
     pair = _similar_pairs_matrix(sim.user_neighbors, ds.num_users)
     nodes = np.arange(ds.num_users)
-    loss, grad_e0, _ = contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0,
-                                                  pair, tau=0.5, num_users=ds.num_users)
+    side = (0, ds.num_users)
+    loss, grad_e0, _ = contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side,
+                                                  pair, tau=0.5)
     assert loss is not None
     rng2 = np.random.default_rng(1)
     eps = 1e-5
@@ -142,10 +143,8 @@ def test_pretrain_end_to_end_gradient_check():
         ep, em = e0.copy(), e0.copy()
         ep[r, c] += eps
         em[r, c] -= eps
-        lp = contrastive_loss_and_grads(ep, adj1, adj2, 2, head, nodes, 0, pair, tau=0.5,
-                                        num_users=ds.num_users)[0]
-        lm = contrastive_loss_and_grads(em, adj1, adj2, 2, head, nodes, 0, pair, tau=0.5,
-                                        num_users=ds.num_users)[0]
+        lp = contrastive_loss_and_grads(ep, adj1, adj2, 2, head, nodes, side, pair, tau=0.5)[0]
+        lm = contrastive_loss_and_grads(em, adj1, adj2, 2, head, nodes, side, pair, tau=0.5)[0]
         num = (lp - lm) / (2 * eps)
         assert num == pytest.approx(grad_e0[r, c], rel=1e-3, abs=1e-8)
 
@@ -167,7 +166,7 @@ def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
     head = init_head(4, 4, 4, seed=1)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
     loss, _, _ = contrastive_loss_and_grads(e0, graph.norm_adj, graph.norm_adj, 2, head,
-                                            nodes, 0, pair, tau=0.5, num_users=ds.num_users)
+                                            nodes, (0, ds.num_users), pair, tau=0.5)
     assert loss is not None and len(seen) == 1
     n = 2 * len(nodes)
     pos = np.zeros((n, n), dtype=bool)
@@ -404,7 +403,11 @@ def test_pretrain_log_lines():
     lines = []
     pretrain(ds, sim, AugmentationConfig(method="ND"), state, LossConfig(),
              small_train_config(pretrain_epochs=2), log_fn=lines.append)
-    assert lines and all(line.startswith("stage=pretrain epoch=") for line in lines)
+    # at d = 4 every batch has a dead-relu row: each is skipped, so each epoch's loss is nan
+    skip = ("epoch {}: degenerate contrastive batch at offset {} (no valid negatives "
+            "or zero-norm projection), skipped")
+    assert lines == [skip.format(1, 0), skip.format(1, 8), "stage=pretrain epoch=1 loss=nan",
+                     skip.format(2, 0), skip.format(2, 8), "stage=pretrain epoch=2 loss=nan"]
 
 
 def _contrastive_case(seed=16):
@@ -418,8 +421,9 @@ def _contrastive_case(seed=16):
     e0 = rng.normal(0, 0.1, size=(graph.num_nodes, 4))
     head = init_head(4, 4, 4, seed=3)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
-    batches = [(np.array([4, 0, 7, 2, 8]), 0, _similar_pairs_matrix(sim.user_neighbors, 9)),
-               (np.array([11, 3, 5, 0, 6, 9]), 9, _similar_pairs_matrix(sim.item_neighbors, 12))]
+    batches = [(np.array([4, 0, 7, 2, 8]), (0, 9), _similar_pairs_matrix(sim.user_neighbors, 9)),
+               (np.array([11, 3, 5, 0, 6, 9]), (9, 21),
+                _similar_pairs_matrix(sim.item_neighbors, 12))]
     return ds, e0, adj1, adj2, head, batches
 
 
@@ -430,12 +434,11 @@ def test_contrastive_one_sided_backward_matches_full(monkeypatch):
     import sclrec.train as train
 
     ds, e0, adj1, adj2, head, batches = _contrastive_case()
-    cases = [(nodes, offset, pair_mat)
-             for nodes, offset, pair in batches for pair_mat in (pair, None)]
+    cases = [(nodes, side, pair_mat)
+             for nodes, side, pair in batches for pair_mat in (pair, None)]
 
-    def run(nodes, offset, pair_mat):
-        return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, offset, pair_mat,
-                                          0.5, num_users=ds.num_users)
+    def run(nodes, side, pair_mat):
+        return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, pair_mat, 0.5)
 
     one_sided = [run(*case) for case in cases]
     monkeypatch.setattr(train, "_propagate_raw",
@@ -480,23 +483,23 @@ def test_finetune_returns_the_report_of_the_best_state():
     assert report == evaluate(final[:ds.num_users], final[ds.num_users:], ds)
 
 
-def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch, caplog):
+def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch):
     import sclrec.train as train
     from sclrec.augment import SimilarityIndex
 
     ds, e0, adj1, adj2, head, batches = _contrastive_case()
-    nodes = batches[0][0]
+    nodes, side, _pair = batches[0]
     everyone = np.ones((ds.num_users, ds.num_users), dtype=bool)
-    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, everyone,
-                                      0.5, num_users=ds.num_users) == (None, None, None)
+    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, everyone,
+                                      0.5) == (None, None, None)
     # one node pairing with every other is enough; one pair fewer and the batch runs
     one = np.eye(ds.num_users, dtype=bool)
     one[nodes[0], nodes] = one[nodes, nodes[0]] = True
-    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, one,
-                                      0.5, num_users=ds.num_users) == (None, None, None)
+    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, one,
+                                      0.5) == (None, None, None)
     one[nodes[0], nodes[-1]] = one[nodes[-1], nodes[0]] = False
-    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, 0, one,
-                                      0.5, num_users=ds.num_users)[0] is not None
+    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, one,
+                                      0.5)[0] is not None
     # pretrain: the one user batch (every user lists every other) is skipped,
     # so only the item batch of each epoch takes an Adam step
     ds = toy_dataset(seed=2, with_test=False)
@@ -506,12 +509,15 @@ def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch, caplog):
     steps = []  # counted, not taken
     monkeypatch.setattr(train, "adam_step", lambda *args: steps.append(args))
     state = init_embeddings(ds.num_users, ds.num_items, 16, seed=1)  # wide: no dead-relu row
+    lines = []
     pretrain(ds, SimilarityIndex(users, sim.item_neighbors), AugmentationConfig(method="ED"),
-             state, LossConfig(), small_train_config(pretrain_epochs=3))
+             state, LossConfig(), small_train_config(pretrain_epochs=3), log_fn=lines.append)
     assert len(steps) == 3
-    assert [r.getMessage() for r in caplog.records] == [
+    assert lines[0::2] == [
         f"epoch {epoch}: degenerate contrastive batch at offset 0 (no valid negatives "
         "or zero-norm projection), skipped" for epoch in (1, 2, 3)]
+    assert [line.split(" loss=")[0] for line in lines[1::2]] == [
+        f"stage=pretrain epoch={epoch}" for epoch in (1, 2, 3)]
 
 
 def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
@@ -519,9 +525,9 @@ def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
 
     sizes = []
 
-    def record(e0, adj1, adj2, L, head, nodes, offset, *args, **kwargs):
-        sizes.append((offset, len(nodes)))
-        return contrastive_loss_and_grads(e0, adj1, adj2, L, head, nodes, offset, *args, **kwargs)
+    def record(e0, adj1, adj2, L, head, nodes, side, *args):
+        sizes.append((side, len(nodes)))
+        return contrastive_loss_and_grads(e0, adj1, adj2, L, head, nodes, side, *args)
 
     monkeypatch.setattr(train, "contrastive_loss_and_grads", record)
     ds = toy_dataset(num_users=5, num_items=8, seed=3, with_test=False)
@@ -529,7 +535,7 @@ def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
     state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
     pretrain(ds, sim, AugmentationConfig(method="ED"), state, LossConfig(),
              small_train_config(pretrain_epochs=1, batch_size=2))
-    assert sizes == [(0, 2), (0, 2)] + [(5, 2)] * 4
+    assert sizes == [((0, 5), 2)] * 2 + [((5, 13), 2)] * 4
 
 
 def similar_pairs_matrix_loop(neighbors, n):
