@@ -46,6 +46,12 @@ class AugmentedView:
     dropped_edge_indices: tuple = ()     # indices into the source edge tuple (ED)
     replications: tuple = ()             # (node, removed_edges, added_edges) triples (NR)
 
+    def __getattribute__(self, name):  # a function in `replications` makes them on first read
+        value = object.__getattribute__(self, name)
+        if name == "replications" and callable(value):
+            object.__setattr__(self, name, value := value())
+        return value
+
 
 @dataclass(frozen=True)
 class SimilarityIndex:
@@ -132,7 +138,7 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     indptr, indices = graph.norm_adj.indptr, graph.norm_adj.indices.astype(np.int64)
     selected = rng.random(graph.num_nodes) < rho3
     is_partner = np.zeros(graph.num_nodes, dtype=bool)
-    removed, added, provenance = [], [], []
+    removed, added, replicated = [], [], []
     for node in np.flatnonzero(selected).tolist():  # users, then items
         as_user = node < nu
         partners = indices[indptr[node]:indptr[node + 1]]
@@ -152,19 +158,21 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
         is_partner[partners] = False
         n_add = min(len(seg), len(novel))
         picks = rng.choice(len(novel), size=n_add, replace=False) if n_add else []
-        record = []
         for others, out in ((seg, removed), (np.sort(novel[picks]), added)):
             users, items = ((np.full(len(others), node), others - nu) if as_user
                             else (others, np.full(len(others), node - nu)))
             out.append(users * ni + items)
-            record.append(tuple(zip(users.tolist(), items.tolist())))
-        provenance.append((node, *record))
+        replicated.append(node)
     edges = graph.edge_array()
     keys = edges[:, 0] * ni + edges[:, 1]
     if removed:
         keys = np.concatenate([keys[~np.isin(keys, np.concatenate(removed))], *added])
     g = build_graph(key_pairs(keys, ni), nu, ni)
-    return AugmentedView(graph=g, replications=tuple(provenance))
+
+    def replications():  # each edge key back to its (user, item) pair
+        return tuple((node, *(tuple(zip(*(a.tolist() for a in np.divmod(k, ni)))) for k in ra))
+                     for node, *ra in zip(replicated, removed, added))
+    return AugmentedView(graph=g, replications=replications)
 
 
 def make_views(graph: BipartiteGraph, config: AugmentationConfig,

@@ -80,13 +80,14 @@ def norm_adj_as(graph: BipartiteGraph, dtype):
     return adj if adj.dtype == dtype else adj.astype(dtype)
 
 
-def layer_mean(e0: np.ndarray, adj, L: int, side=None) -> np.ndarray:
+def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None) -> np.ndarray:
     """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
     layers 0..L. The one propagation kernel; e0 is not modified. With
     side=(start, stop), e0 must be zero outside those rows (one side of the
     bipartite graph) and adj CSR; each layer then multiplies only the half
-    block of adj that maps the current side to the other, with the full call's result."""
-    acc = e0.copy()
+    block of adj that maps the current side to the other, with the full call's result.
+    With rows, the full result's `rows`, bit for bit: the last layer runs adj[rows] only."""
+    acc = e0.copy() if rows is None else e0[rows]
     e = e0
     if side is not None:  # E^(l) lives on halves[l % 2]; blocks[l % 2] maps onto it
         halves = (side, (0, side[0]) if side[0] else (side[1], adj.shape[0]))
@@ -94,13 +95,15 @@ def layer_mean(e0: np.ndarray, adj, L: int, side=None) -> np.ndarray:
         blocks = [sp.csr_matrix((adj.data[p[a]:p[b]], adj.indices[p[a]:p[b]], p[a:b + 1] - p[a]),
                                 shape=(b - a, adj.shape[1]), copy=False) for a, b in halves]
     for layer in range(1, L + 1):
-        if side is None:
-            e = adj @ e
-        else:
+        if side is not None:
             e_next = np.zeros_like(e0)
             e_next[slice(*halves[layer % 2])] = blocks[layer % 2] @ e
             e = e_next
-        acc += e
+        elif rows is not None and layer == L:
+            e = adj[rows] @ e
+        else:
+            e = adj @ e
+        acc += e if rows is None or layer == L else e[rows]
     acc /= L + 1
     return acc
 

@@ -101,38 +101,36 @@ def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
 
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, side: tuple,
-                               pair_mat: np.ndarray | None, tau: float):
+                               pair_mat: np.ndarray | sp.csr_matrix | None, tau: float):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     `nodes` index the rows side = (start, stop) of e0. Propagates e0 through
-    both view adjacencies, projects the batch rows of each view (interleaved),
-    applies supervised InfoNCE over `pair_mat` (true diagonal) or, when it is
-    None, SGL's InfoNCE, and chains the gradient back to e0 (on that side) and
-    the head parameters.
+    both view adjacencies to the batch rows, projects them (interleaved),
+    applies supervised InfoNCE over `pair_mat` (dense or CSR, true diagonal)
+    or, when it is None, SGL's InfoNCE, and chains the gradient back to e0 (on
+    that side) and the head parameters.
 
     Returns (loss, grad_e0, head_grads); (None, None, None) when the batch has
     an anchor without any negative.
     """
-    final1 = _propagate_raw(e0, adj1, L)
-    final2 = _propagate_raw(e0, adj2, L)
     rows = nodes + side[0]
     b = len(nodes)
     h = np.empty((2 * b, e0.shape[1]), dtype=e0.dtype)
-    h[0::2] = final1[rows]
-    h[1::2] = final2[rows]
+    h[0::2] = _propagate_raw(e0, adj1, L, rows=rows)
+    h[1::2] = _propagate_raw(e0, adj2, L, rows=rows)
     z, cache = project_forward(h, head)
-    z64 = z.astype(np.float64)
-    if (np.linalg.norm(z64, axis=1) == 0).any():
+    if (np.linalg.norm(z, axis=1) == 0).any():
         return None, None, None  # dead-relu row, cosine undefined for this batch
     if pair_mat is None:
-        loss, grad_z = info_nce(z64, tau)
+        loss, grad_z = info_nce(z, tau)
     else:
-        v = np.repeat(nodes, 2)  # row 2s + a is view a of nodes[s]
-        pos = pair_mat[np.ix_(v, v)]
-        if pos.all(axis=1).any():  # pair_mat's diagonal is true: a full row has no negative
+        p = sp.csr_matrix(pair_mat[nodes][:, nodes])
+        if (p.getnnz(axis=1) == b).any():  # pair_mat's diagonal is true: a full row has no negative
             return None, None, None
-        np.fill_diagonal(pos, False)
-        loss, grad_z = s_info_nce(ContrastBatch(z=z64, positive_mask=pos), tau)
+        # row 2s + a is view a of nodes[s]
+        pos = sp.kron(p, np.ones((2, 2), dtype=bool), format="csr")
+        pos.setdiag(False)  # stored zeros, which nonzero() skips
+        loss, grad_z = s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau)
     grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype))
     grad_final1 = np.zeros_like(e0)
     grad_final2 = np.zeros_like(e0)
@@ -163,18 +161,18 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     head = init_head(state.d, state.d, state.d, train_config.seed, dtype=dtype)
     params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
     adam = AdamState(params)
+    nu, ni = dataset.num_users, dataset.num_items
     pair_user = pair_item = None
     if sim_index is not None:
-        pair_user = _similar_pairs_matrix(sim_index.user_neighbors, dataset.num_users)
-        pair_item = _similar_pairs_matrix(sim_index.item_neighbors, dataset.num_items)
-    nu = dataset.num_users
+        pair_user = sp.csr_matrix(_similar_pairs_matrix(sim_index.user_neighbors, nu))
+        pair_item = sp.csr_matrix(_similar_pairs_matrix(sim_index.item_neighbors, ni))
     loss_curve = []
     for epoch in range(1, train_config.pretrain_epochs + 1):
         v1, v2 = make_views(graph, aug_config, sim_index, rng)
         adj1 = norm_adj_as(v1.graph, dtype)
         adj2 = norm_adj_as(v2.graph, dtype)
         batch_losses = []
-        for side, pair_mat in (((0, nu), pair_user), ((nu, nu + dataset.num_items), pair_item)):
+        for side, pair_mat in (((0, nu), pair_user), ((nu, nu + ni), pair_item)):
             order = rng.permutation(side[1] - side[0])
             for start in range(0, len(order), train_config.batch_size):
                 nodes = order[start:start + train_config.batch_size]

@@ -4,6 +4,7 @@ and the same gradient, bit for bit, at sizes on and off the 128-row blocks."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sclrec.train as train
 from sclrec.augment import SimilarityIndex, edge_drop
@@ -20,6 +21,8 @@ def cosine_backward_reference(grad_s, z_hat, norms):
 
 
 def s_info_nce_reference(batch, tau, denominator="negatives"):
+    if sp.issparse(batch.positive_mask):
+        batch = ContrastBatch(z=batch.z, positive_mask=batch.positive_mask.toarray())
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.float64)
@@ -63,7 +66,7 @@ def info_nce_reference(z, tau):
     return s_info_nce_reference(ContrastBatch(z=z, positive_mask=pos), tau, "all")
 
 
-def layer_mean_reference(e0, adj, L, side=None):
+def layer_mean_reference(e0, adj, L, side=None, rows=None):
     acc = e0.copy()
     e = e0
     if side is not None:
@@ -77,7 +80,7 @@ def layer_mean_reference(e0, adj, L, side=None):
             e = e_next
         acc += e
     acc /= L + 1
-    return acc
+    return acc if rows is None else acc[rows]
 
 
 def coview_batch(n, seed):
@@ -117,6 +120,34 @@ def test_s_info_nce_matches_out_of_place_algebra(n, denominator):
 def test_info_nce_matches_out_of_place_algebra(n):
     z = np.random.default_rng(n + 1).normal(size=(n, 24))
     assert_same(info_nce(z, 0.5), info_nce_reference(z, 0.5))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_s_info_nce_csr_mask_matches_dense_twin(n):
+    # CSC lists its entries column-major; the batch puts them in row-major order
+    batch = coview_batch(n, seed=n + 2)
+    for form in (sp.csr_matrix, sp.csc_matrix):
+        twin = ContrastBatch(z=batch.z, positive_mask=form(batch.positive_mask))
+        assert np.array_equal(twin.rows, batch.rows) and np.array_equal(twin.cols, batch.cols)
+        for denominator in ("negatives", "all"):
+            if (n, denominator) != (2, "negatives"):
+                assert_same(s_info_nce(twin, 0.2, denominator), s_info_nce(batch, 0.2, denominator))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_float32_kernels_stay_float32_near_float64(n):
+    # the products run in float32; the float64 run of the same rows is the yardstick
+    batch = coview_batch(n, seed=n + 3)
+    batch32 = ContrastBatch(z=batch.z.astype(np.float32), positive_mask=batch.positive_mask)
+    for tau in (0.2, 0.01):
+        pairs = [(info_nce(batch32.z, tau), info_nce(batch32.z.astype(np.float64), tau))]
+        if n > 2:
+            pairs.append((s_info_nce(batch32, tau), s_info_nce(
+                ContrastBatch(batch32.z.astype(np.float64), batch.positive_mask), tau)))
+        for (loss, grad), (ref_loss, ref_grad) in pairs:
+            assert grad.dtype == np.float32 and np.isfinite(grad).all()
+            assert loss == pytest.approx(ref_loss, rel=1e-4)
+            assert np.allclose(grad, ref_grad, rtol=1e-4, atol=1e-5 * np.abs(ref_grad).max())
 
 
 def test_anti_aligned_small_tau_matches_out_of_place_algebra():

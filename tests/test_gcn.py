@@ -229,3 +229,23 @@ def test_layer_mean_one_side_is_bit_identical_to_full(L):
                 one = layer_mean(e0, adj, L, side=side)
                 assert one.dtype == full.dtype and one.tobytes() == full.tobytes()
                 assert np.array_equal(e0, before)
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3])
+def test_layer_mean_rows_is_bit_identical_to_full(L):
+    # only the last layer is restricted to the asked rows; CSR rows sum
+    # independently, so the rows keep the full call's bytes in the asked order
+    rng = np.random.default_rng(10 + L)
+    for _ in range(12):
+        g = random_bipartite(rng)
+        nu, n = g.num_users, g.num_nodes
+        for dtype in (np.float32, np.float64):
+            e0 = rng.normal(size=(n, 5)).astype(dtype)
+            before = e0.copy()
+            adj = g.norm_adj.astype(dtype)
+            full = layer_mean(e0, adj, L)
+            for pool in (np.arange(nu), np.arange(nu, n), np.arange(n)):
+                rows = rng.permutation(pool)[:max(1, len(pool) // 2)]
+                got = layer_mean(e0, adj, L, rows=rows)
+                assert got.dtype == dtype and got.tobytes() == full[rows].tobytes()
+            assert np.array_equal(e0, before)

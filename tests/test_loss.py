@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +268,31 @@ def test_contrast_batch_rejects_odd_rows_and_misshaped_masks():
         ContrastBatch(np.ones((3, 2)), pos[:3, :3])
     with pytest.raises(ValueError, match=r"^positive_mask shape \(4, 3\) != \(4, 4\)$"):
         ContrastBatch(np.ones((4, 2)), pos[:, :3])
+
+
+def test_contrast_batch_csr_mask_raises_the_dense_errors():
+    z = np.ones((4, 2))
+    pos = np.zeros((4, 4), dtype=bool)
+    pos[0, 1] = pos[1, 0] = pos[2, 3] = pos[3, 2] = True
+    asym = pos.copy()
+    asym[0, 2] = True
+    for mask, message in ((pos[:, :3], r"^positive_mask shape \(4, 3\) != \(4, 4\)$"),
+                          (pos | np.eye(4, dtype=bool), r"^positive_mask has true diagonal entries$"),
+                          (asym, r"^positive_mask must be symmetric$")):
+        for form in (mask, sp.csr_matrix(mask)):
+            with pytest.raises(ValueError, match=message):
+                ContrastBatch(z, form)
+    # a stored false entry is no positive, on the diagonal or off it
+    stored = sp.csr_matrix(pos | np.eye(4, dtype=bool) | asym)
+    stored[0, 2] = False
+    stored.setdiag(False)
+    batch = ContrastBatch(z, stored)
+    assert stored.nnz == 9
+    assert np.array_equal(batch.rows, [0, 1, 2, 3]) and np.array_equal(batch.cols, [1, 0, 3, 2])
+    # a COO entry stored twice is one positive
+    twice = sp.coo_matrix((np.ones(5, dtype=bool), ([0, 1, 2, 3, 0], [1, 0, 3, 2, 1])), shape=(4, 4))
+    batch = ContrastBatch(z, twice)
+    assert np.array_equal(batch.rows, [0, 1, 2, 3]) and np.array_equal(batch.cols, [1, 0, 3, 2])
 
 
 @pytest.mark.parametrize("rows", [0, 3])
