@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph, build_graph, key_pairs
 from sclrec.metrics import top_k
@@ -53,23 +55,52 @@ class AugmentedView:
         return value
 
 
-@dataclass(frozen=True)
-class SimilarityIndex:
-    """Per-node top-N same-side neighbors by cosine over binary interaction rows.
+@dataclass(frozen=True, eq=False)
+class Neighbors:
+    """One side's top-N same-side neighbors by cosine over binary interaction rows.
 
-    Each entry is a tuple of (node_id, cosine) sorted by cosine descending,
-    ties broken by ascending node id; a node never lists itself.
+    Row a of `ids` lists node a's neighbors in its first `counts[a]` entries
+    (0 for a degree-0 node), `scores` their cosines, sorted by cosine
+    descending, ties broken by ascending id; a node never lists itself.
     """
 
-    user_neighbors: tuple  # tuple (per user) of tuples of (user_id, cosine)
-    item_neighbors: tuple
+    ids: np.ndarray     # (n, k) int64
+    scores: np.ndarray  # (n, k) float64
+    counts: np.ndarray  # (n,) int64
+
+    def pair_matrix(self) -> sp.csr_matrix:
+        """Symmetric boolean n x n CSR storing only true entries: (a, b) if either
+        lists the other; diagonal true (a node's two views are mutual positives)."""
+        n = len(self.counts)
+        a = np.repeat(np.arange(n), self.counts)
+        b = self.ids[np.arange(self.ids.shape[1]) < self.counts[:, None]]
+        keys = np.sort(np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # each pair once
+        return sp.csr_matrix((np.ones(len(keys), dtype=bool), keys % n,
+                              np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+
+    @cached_property
+    def tuples(self) -> tuple:
+        """Per-node tuples of (id, cosine); for tests only."""
+        rows = zip(self.ids.tolist(), self.scores.tolist(), self.counts.tolist())
+        return tuple(tuple(zip(ids[:c], scores[:c])) for ids, scores, c in rows)
 
 
-def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int):
+@dataclass(frozen=True, eq=False)
+class SimilarityIndex:
+    """Each side's `Neighbors`, computed separately."""
+
+    users: Neighbors
+    items: Neighbors
+    user_neighbors = property(lambda self: self.users.tuples)  # for tests only
+    item_neighbors = property(lambda self: self.items.tuples)
+
+
+def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int) -> Neighbors:
     """Top-N cosine neighbors per row of an n x n co-occurrence count matrix; self excluded.
 
     cosine(a, b) = |N(a) ∩ N(b)| / (sqrt(deg a) * sqrt(deg b)); degree-0 rows
-    get an empty list and score 0 against everyone else.
+    list no one and score 0 against everyone else.
     """
     n = len(deg)
     inv = np.zeros(n)
@@ -78,9 +109,8 @@ def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int):
     scores *= inv[None, :]
     np.fill_diagonal(scores, -np.inf)  # self excluded
     top = top_k(scores, min(top_n, n - 1))
-    ids = top.tolist()
-    values = np.take_along_axis(scores, top, axis=1).tolist()
-    return tuple(tuple(zip(ids[a], values[a])) if deg[a] > 0 else () for a in range(n))
+    return Neighbors(ids=top, scores=np.take_along_axis(scores, top, axis=1),
+                     counts=np.where(deg > 0, top.shape[1], 0))
 
 
 def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
@@ -93,8 +123,8 @@ def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
     x = np.zeros((nu, ni), dtype=np.float32)
     x[users, items] = 1.0
     return SimilarityIndex(
-        user_neighbors=_top_n_neighbors(x @ x.T, np.bincount(users, minlength=nu), top_n),
-        item_neighbors=_top_n_neighbors(x.T @ x, np.bincount(items, minlength=ni), top_n),
+        users=_top_n_neighbors(x @ x.T, np.bincount(users, minlength=nu), top_n),
+        items=_top_n_neighbors(x.T @ x, np.bincount(items, minlength=ni), top_n),
     )
 
 
@@ -142,16 +172,16 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     for node in np.flatnonzero(selected).tolist():  # users, then items
         as_user = node < nu
         partners = indices[indptr[node]:indptr[node + 1]]
-        neighbors = (sim_index.user_neighbors[node] if as_user
-                     else sim_index.item_neighbors[node - nu])
-        if not len(partners) or not neighbors:
+        side, row = (sim_index.users, node) if as_user else (sim_index.items, node - nu)
+        count = int(side.counts[row])
+        if not len(partners) or not count:
             continue
         k = min(k_segments, len(partners))
         size, extra = divmod(len(partners), k)  # np.array_split's segment sizes
         s = int(rng.integers(k))
         start = s * size + min(s, extra)
         seg = partners[start:start + size + (s < extra)]
-        donor = neighbors[int(rng.integers(len(neighbors)))][0] + (0 if as_user else nu)
+        donor = int(side.ids[row, rng.integers(count)]) + (0 if as_user else nu)
         is_partner[partners] = True
         donor_partners = indices[indptr[donor]:indptr[donor + 1]]
         novel = donor_partners[~is_partner[donor_partners]]
@@ -188,45 +218,13 @@ def make_views(graph: BipartiteGraph, config: AugmentationConfig,
 
 
 def save_similarity(index: SimilarityIndex, path) -> None:
-    """Binary format: magic, user/item counts, then per-node neighbor lists as
-    (count: u32 LE, then pairs of id: u32 LE, score: f32 LE)."""
+    """For inspection only: nothing reads it back. Binary format: magic, user/item counts,
+    then per-node neighbor lists as (count: u32 LE, then pairs of id: u32 LE, score: f32 LE)."""
     with open(path, "wb") as fh:
         fh.write(SIM_MAGIC)
-        fh.write(struct.pack("<II", len(index.user_neighbors), len(index.item_neighbors)))
-        for side in (index.user_neighbors, index.item_neighbors):
-            for neighbors in side:
-                fh.write(struct.pack("<I", len(neighbors)))
-                for nid, score in neighbors:
-                    fh.write(struct.pack("<If", nid, score))
-
-
-def load_similarity(path) -> SimilarityIndex:
-    """Reads save_similarity's format. The file's size must be exactly the one
-    its counts imply; anything else raises ValueError naming both sizes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    size = len(data)
-
-    def need(end):
-        if size < end:
-            raise ValueError(f"{path}: similarity file is {size} bytes, "
-                             f"expected at least {end}")
-
-    need(16)
-    if data[:8] != SIM_MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:8]!r}")
-    n_users, n_items = struct.unpack_from("<II", data, 8)
-    offset = 16
-    sides = []
-    for count in (n_users, n_items):
-        side = []
-        for _ in range(count):
-            need(offset + 4)
-            (n,) = struct.unpack_from("<I", data, offset)
-            start, offset = offset + 4, offset + 4 + 8 * n
-            need(offset)
-            side.append(tuple(struct.iter_unpack("<If", data[start:offset])))
-        sides.append(tuple(side))
-    if size != offset:
-        raise ValueError(f"{path}: similarity file is {size} bytes, expected {offset}")
-    return SimilarityIndex(user_neighbors=sides[0], item_neighbors=sides[1])
+        fh.write(struct.pack("<II", len(index.users.counts), len(index.items.counts)))
+        for side in (index.users, index.items):
+            pairs = np.empty(side.ids.shape, dtype=[("id", "<u4"), ("score", "<f4")])
+            pairs["id"], pairs["score"] = side.ids, side.scores
+            for count, row in zip(side.counts.tolist(), pairs):
+                fh.write(struct.pack("<I", count) + row[:count].tobytes())

@@ -138,7 +138,10 @@ def cmd_run(config: RunConfig) -> int:
         except ValueError as exc:
             return fail(f"{config.data_path}: {exc}")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        return fail(f"{config.out_dir}: {exc.strerror}")
     if sim_index is not None:
         save_similarity(sim_index, out / "similarity.sclsim")
     log_lines = []

@@ -153,36 +153,3 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
     s[rows, cols] -= ex_pos / total_pos[rows]
     buf /= n * tau
     return loss, _cosine_backward(s, z_hat, norms)
-
-
-# Naive double-loop references; oracles for the vectorized losses.
-
-def info_nce_reference(z: np.ndarray, tau: float) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    z_hat = z / np.linalg.norm(z, axis=1)[:, None]
-    total = 0.0
-    for i in range(n):
-        j = i ^ 1
-        num = np.exp(z_hat[i] @ z_hat[j] / tau)
-        den = sum(np.exp(z_hat[i] @ z_hat[k] / tau) for k in range(n) if k != i)
-        total += -np.log(num / den)
-    return total / n
-
-
-def s_info_nce_reference(batch: ContrastBatch, tau: float,
-                         denominator: str = "negatives") -> float:
-    z = np.asarray(batch.z, dtype=np.float64)
-    n = z.shape[0]
-    z_hat = z / np.linalg.norm(z, axis=1)[:, None]
-    total = 0.0
-    for i in range(n):
-        num = sum(np.exp(z_hat[i] @ z_hat[j] / tau)
-                  for j in range(n) if batch.positive_mask[i, j])
-        if denominator == "negatives":
-            den = sum(np.exp(z_hat[i] @ z_hat[k] / tau)
-                      for k in range(n) if k != i and not batch.positive_mask[i, k])
-        else:
-            den = sum(np.exp(z_hat[i] @ z_hat[k] / tau) for k in range(n) if k != i)
-        total += -np.log(num / den)
-    return total / n

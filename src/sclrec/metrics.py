@@ -32,18 +32,6 @@ class RankingReport:
         return method + "," + ",".join(f"{100.0 * v:.2f}" for v in vals)
 
 
-def rank_items(user_scores: np.ndarray, train_exclusions) -> np.ndarray:
-    """All items sorted by score descending, training items removed,
-    ties broken by ascending item id."""
-    scores = np.asarray(user_scores, dtype=np.float64)
-    ids = np.arange(scores.shape[0])
-    keep = np.ones(scores.shape[0], dtype=bool)
-    for i in train_exclusions:
-        keep[i] = False
-    order = np.lexsort((ids[keep], -scores[keep]))
-    return ids[keep][order]
-
-
 def ndcg_at_k(ranked, relevant_set, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -76,8 +64,9 @@ def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset) -> Ranking
     test interaction.
 
     Scores EVAL_BLOCK users per matrix product with their training items set
-    to -inf, so each user's ranking is `rank_items` followed by its excluded
-    items; only the top max(DEFAULT_CUTOFFS) ranks are ordered. Per-rank and
+    to -inf, so each user ranks its other items by score descending, ties by
+    ascending item id, ahead of its training items; only the top
+    max(DEFAULT_CUTOFFS) ranks are ordered. Per-rank and
     per-user sums run in rank and user order, as the scalar metric functions
     add them.
     """

@@ -90,15 +90,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         p -= step
 
 
-def _similar_pairs_matrix(neighbors, n: int) -> np.ndarray:
-    """Symmetric boolean matrix: (a, b) true if either lists the other in its
-    top-N; diagonal true (a node's two views are mutual positives)."""
-    mat = np.eye(n, dtype=bool)
-    rows = np.repeat(np.arange(n), [len(neigh) for neigh in neighbors])
-    mat[rows, [b for neigh in neighbors for b, _score in neigh]] = True
-    return mat | mat.T
-
-
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, side: tuple,
                                pair_mat: np.ndarray | sp.csr_matrix | None, tau: float):
@@ -164,8 +155,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     nu, ni = dataset.num_users, dataset.num_items
     pair_user = pair_item = None
     if sim_index is not None:
-        pair_user = sp.csr_matrix(_similar_pairs_matrix(sim_index.user_neighbors, nu))
-        pair_item = sp.csr_matrix(_similar_pairs_matrix(sim_index.item_neighbors, ni))
+        pair_user, pair_item = sim_index.users.pair_matrix(), sim_index.items.pair_matrix()
     loss_curve = []
     for epoch in range(1, train_config.pretrain_epochs + 1):
         v1, v2 = make_views(graph, aug_config, sim_index, rng)

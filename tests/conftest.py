@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sclrec.augment import Neighbors, SimilarityIndex
 from sclrec.dataset import InteractionDataset, build_graph
 
 
@@ -17,6 +18,18 @@ def random_bipartite(rng, max_users=25, max_items=25, p=0.3):
 def dataset_from_pairs(num_users, num_items, train, test=()):
     return InteractionDataset(num_users=num_users, num_items=num_items,
                               train=frozenset(train), test=frozenset(test))
+
+
+def similarity_from_tuples(user_neighbors, item_neighbors=()):
+    """The SimilarityIndex whose tuple views are the given per-node lists of (id, cosine)."""
+    def side(lists):
+        k = max(map(len, lists), default=0)
+        ids, scores = np.zeros((len(lists), k), dtype=np.int64), np.zeros((len(lists), k))
+        for a, neighbors in enumerate(lists):
+            ids[a, :len(neighbors)] = [b for b, _ in neighbors]
+            scores[a, :len(neighbors)] = [score for _, score in neighbors]
+        return Neighbors(ids=ids, scores=scores, counts=np.array([len(x) for x in lists]))
+    return SimilarityIndex(users=side(user_neighbors), items=side(item_neighbors))
 
 
 def ml100k_path():

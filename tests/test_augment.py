@@ -1,14 +1,15 @@
-import struct
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclrec.augment import (AugmentationConfig, compute_similarity, edge_drop,
-                            load_similarity, node_drop, node_replication,
-                            save_similarity)
+                            node_drop, node_replication, save_similarity)
 from sclrec.dataset import build_graph
 
-from conftest import random_bipartite
+from conftest import random_bipartite, similarity_from_tuples
+from oracles import save_similarity_reference
+from test_train import similar_pairs_matrix_loop
 
 
 def dense_cosine_users(edges, num_users, num_items):
@@ -231,43 +232,54 @@ def test_view_determinism(rng):
 
 
 def test_similarity_round_trip(tmp_path, rng):
-    g = random_bipartite(rng, max_users=12, max_items=12)
-    if g.num_users < 2 or g.num_items < 2:
-        g = build_graph([(0, 0), (0, 1), (1, 0), (1, 1)], 2, 2)
-    sim = compute_similarity(g, top_n=4)
-    path = tmp_path / "sim.sclsim"
-    save_similarity(sim, path)
-    assert path.read_bytes()[:8] == b"SCLSIM1\0"
-    loaded = load_similarity(path)
-    assert len(loaded.user_neighbors) == len(sim.user_neighbors)
-    for a, neigh in enumerate(sim.user_neighbors):
-        got = loaded.user_neighbors[a]
-        assert [b for b, _ in got] == [b for b, _ in neigh]
-        for (_, s1), (_, s2) in zip(got, neigh):
-            assert s1 == pytest.approx(s2, rel=1e-6)  # f32 storage
+    # the array writer against the per-pair one, byte for byte, on graphs with
+    # trailing degree-0 users and items, and on an index with uneven list lengths
+    def assert_same_file(sim):
+        save_similarity(sim, tmp_path / "sim.sclsim")
+        save_similarity_reference(sim, tmp_path / "ref.sclsim")
+        assert (tmp_path / "sim.sclsim").read_bytes() == (tmp_path / "ref.sclsim").read_bytes()
+
+    for _ in range(10):
+        g = random_bipartite(rng, max_users=12, max_items=12)
+        g = build_graph(g.edge_array(), g.num_users + 2, g.num_items + 1)
+        sim = compute_similarity(g, top_n=4)
+        assert sim.user_neighbors[-1] == () and sim.item_neighbors[-1] == ()
+        assert_same_file(sim)
+    assert_same_file(similarity_from_tuples((((2, 0.0),), (), ((0, 1.0), (1, 0.25))),
+                                            (((1, 0.5),), ((0, 0.5),))))
 
 
-def test_similarity_load_bad_magic(tmp_path):
-    path = tmp_path / "bad.sclsim"
-    path.write_bytes(b"NOTSIM00" + b"\0" * 8)
-    with pytest.raises(ValueError, match="magic"):
-        load_similarity(path)
+@st.composite
+def similarity_graphs(draw):
+    """Small graphs with degree-0 nodes and possibly a user holding every item,
+    and a top_n that may reach past the side sizes."""
+    nu, ni = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    held = draw(st.lists(st.lists(st.booleans(), min_size=ni, max_size=ni),
+                         min_size=nu, max_size=nu))
+    if draw(st.booleans()):
+        held[draw(st.integers(0, nu - 1))] = [True] * ni
+    edges = [(u, i) for u in range(nu) for i in range(ni) if held[u][i]]
+    return build_graph(edges, nu, ni), draw(st.integers(1, 12))
 
 
-def test_similarity_load_rejects_cut_and_extended_files(tmp_path):
-    g = build_graph([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], 3, 2)
-    path = tmp_path / "sim.sclsim"
-    save_similarity(compute_similarity(g, top_n=2), path)
-    data = path.read_bytes()
-    boundaries, offset = [8, 16], 16
-    for _ in range(3 + 2):  # one neighbor list per user, then per item
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4 + 8 * count
-        boundaries += [offset - 8 * count, offset]
-    assert offset == len(data)
-    cuts = {c for b in boundaries for c in (b - 1, b, b + 1) if 0 <= c < len(data)}
-    for size, content in [(c, data[:c]) for c in sorted(cuts)] + [(len(data) + 1, data + b"\0")]:
-        path.write_bytes(content)
-        with pytest.raises(ValueError) as info:
-            load_similarity(path)
-        assert str(info.value).startswith(f"{path}: similarity file is {size} bytes, expected ")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(similarity_graphs())
+def test_similarity_index_arrays_property(case):
+    g, top_n = case
+    sim = compute_similarity(g, top_n)
+    users, items = g.edge_array().T
+    for side, neighbors, deg in (
+            (sim.users, sim.user_neighbors, np.bincount(users, minlength=g.num_users)),
+            (sim.items, sim.item_neighbors, np.bincount(items, minlength=g.num_items))):
+        n = len(deg)
+        assert side.ids.dtype == np.int64 and side.scores.dtype == np.float64
+        assert np.array_equal(side.counts == 0, deg == 0)
+        assert set(side.counts[deg > 0].tolist()) <= {min(top_n, n - 1)}
+        for a, neigh in enumerate(neighbors):
+            assert a not in [b for b, _ in neigh]
+            assert list(neigh) == sorted(neigh, key=lambda pair: (-pair[1], pair[0]))
+        pair = side.pair_matrix()
+        assert pair.dtype == bool and pair.shape == (n, n)
+        assert pair.nnz == pair.count_nonzero()  # no stored False entry
+        assert (pair != pair.T).nnz == 0 and pair.diagonal().all()
+        assert np.array_equal(pair.toarray(), similar_pairs_matrix_loop(neighbors, n))

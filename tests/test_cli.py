@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import sclrec
-from sclrec.augment import AugmentationConfig
+from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.cli import (ConfigError, RunConfig, cmd_compare, config_hash,
                         emit_config, main, parse_config)
+from sclrec.dataset import load_ml100k, split_train_test
 from sclrec.loss import LossConfig
 from sclrec.train import TrainConfig
+
+from oracles import save_similarity_reference
 
 
 @pytest.fixture
@@ -103,11 +106,20 @@ def test_run_scl_nr_produces_similarity_cache(tmp_path, data_file):
     cfg = write_config(tmp_path, data_file, method="scl-nr")
     assert main(["run", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
-    sim = out / "similarity.sclsim"
-    assert sim.is_file()
-    assert sim.read_bytes()[:8] == b"SCLSIM1\0"
+    # the per-pair writer's bytes for the run's own index
+    dataset = split_train_test(load_ml100k(data_file), ratio=0.8, seed=0)
+    save_similarity_reference(compute_similarity(dataset.train_graph, 3), tmp_path / "ref.sclsim")
+    assert (out / "similarity.sclsim").read_bytes() == (tmp_path / "ref.sclsim").read_bytes()
     log = (out / "train.log").read_text()
     assert "stage=pretrain" in log and "stage=finetune" in log
+
+
+def test_run_out_dir_blocked_by_a_file_one_error_line_exit_1(tmp_path, data_file, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, data_file)
+    assert main(["run", "--config", str(cfg), "--out", str(blocker)]) == 1
+    assert capsys.readouterr().err == f"error: {blocker}: File exists\n"
 
 
 def test_run_deterministic_reports(tmp_path, data_file):

@@ -7,11 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 import sclrec.train as train
-from sclrec.augment import SimilarityIndex, edge_drop
+from sclrec.augment import edge_drop
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_head
 from sclrec.loss import ContrastBatch, _normalize_rows, info_nce, s_info_nce
-from sclrec.train import _similar_pairs_matrix, contrastive_loss_and_grads
+from sclrec.train import contrastive_loss_and_grads
+
+from conftest import similarity_from_tuples
 
 
 def cosine_backward_reference(grad_s, z_hat, norms):
@@ -175,13 +177,12 @@ def test_contrastive_loss_and_grads_matches_out_of_place_algebra(monkeypatch):
         return [tuple((int(b), 0.5) for b in rng.choice(count, 3, replace=False) if b != a)
                 for a in range(count)]
 
-    sim = SimilarityIndex(user_neighbors=neighbors(nu), item_neighbors=neighbors(ni))
+    sim = similarity_from_tuples(neighbors(nu), neighbors(ni))
     e0 = rng.normal(0, 0.1, size=(nu + ni, d))
     head = init_head(d, d, d, seed=2)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
-    batches = [(rng.permutation(nu)[:65], (0, nu), _similar_pairs_matrix(sim.user_neighbors, nu)),
-               (rng.permutation(ni)[:65], (nu, nu + ni),
-                _similar_pairs_matrix(sim.item_neighbors, ni))]
+    batches = [(rng.permutation(nu)[:65], (0, nu), sim.users.pair_matrix()),
+               (rng.permutation(ni)[:65], (nu, nu + ni), sim.items.pair_matrix())]
     cases = [(nodes, side, pair_mat) for nodes, side, pair in batches for pair_mat in (pair, None)]
 
     def run(nodes, side, pair_mat):

@@ -7,9 +7,9 @@ from sclrec.gcn import init_embeddings, init_head
 from sclrec.loss import LossConfig, bpr_loss, s_info_nce
 from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig,
                           adam_step, bpr_loss_and_grads, contrastive_loss_and_grads,
-                          finetune, pretrain, _similar_pairs_matrix)
+                          finetune, pretrain)
 
-from conftest import dataset_from_pairs
+from conftest import dataset_from_pairs, similarity_from_tuples
 
 
 def toy_dataset(num_users=8, num_items=10, seed=0, with_test=True):
@@ -129,7 +129,7 @@ def test_pretrain_end_to_end_gradient_check():
     adj2 = edge_drop(graph, 0.2, rng).graph.norm_adj
     e0 = rng.normal(0, 0.1, size=(graph.num_nodes, 5))
     head = init_head(5, 5, 5, seed=2)
-    pair = _similar_pairs_matrix(sim.user_neighbors, ds.num_users)
+    pair = sim.users.pair_matrix()
     nodes = np.arange(ds.num_users)
     side = (0, ds.num_users)
     loss, grad_e0, _ = contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side,
@@ -157,7 +157,7 @@ def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
     ds = toy_dataset(num_users=8, num_items=10, seed=15, with_test=False)
     graph = build_graph(ds.train, ds.num_users, ds.num_items)
     neighbors = [((5, 0.9),), (), ((6, 0.5),), ((7, 0.4), (0, 0.3)), (), (), (), ()]
-    pair = _similar_pairs_matrix(neighbors, ds.num_users)
+    pair = similarity_from_tuples(neighbors).users.pair_matrix()
     nodes = np.array([5, 1, 7, 3, 0, 2])
     seen = []
     monkeypatch.setattr(train, "s_info_nce",
@@ -421,9 +421,8 @@ def _contrastive_case(seed=16):
     e0 = rng.normal(0, 0.1, size=(graph.num_nodes, 4))
     head = init_head(4, 4, 4, seed=3)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
-    batches = [(np.array([4, 0, 7, 2, 8]), (0, 9), _similar_pairs_matrix(sim.user_neighbors, 9)),
-               (np.array([11, 3, 5, 0, 6, 9]), (9, 21),
-                _similar_pairs_matrix(sim.item_neighbors, 12))]
+    batches = [(np.array([4, 0, 7, 2, 8]), (0, 9), sim.users.pair_matrix()),
+               (np.array([11, 3, 5, 0, 6, 9]), (9, 21), sim.items.pair_matrix())]
     return ds, e0, adj1, adj2, head, batches
 
 
@@ -485,7 +484,6 @@ def test_finetune_returns_the_report_of_the_best_state():
 
 def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch):
     import sclrec.train as train
-    from sclrec.augment import SimilarityIndex
 
     ds, e0, adj1, adj2, head, batches = _contrastive_case()
     nodes, side, _pair = batches[0]
@@ -510,7 +508,7 @@ def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch):
     monkeypatch.setattr(train, "adam_step", lambda *args: steps.append(args))
     state = init_embeddings(ds.num_users, ds.num_items, 16, seed=1)  # wide: no dead-relu row
     lines = []
-    pretrain(ds, SimilarityIndex(users, sim.item_neighbors), AugmentationConfig(method="ED"),
+    pretrain(ds, similarity_from_tuples(users, sim.item_neighbors), AugmentationConfig(method="ED"),
              state, LossConfig(), small_train_config(pretrain_epochs=3), log_fn=lines.append)
     assert len(steps) == 3
     assert lines[0::2] == [
@@ -539,7 +537,7 @@ def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
 
 
 def similar_pairs_matrix_loop(neighbors, n):
-    """`_similar_pairs_matrix` as a per-node loop; oracle."""
+    """`Neighbors.pair_matrix` as a dense per-node loop over the tuple view; oracle."""
     mat = np.eye(n, dtype=bool)
     for a, neigh in enumerate(neighbors):
         mat[a, [b for b, _score in neigh]] = True
@@ -555,12 +553,13 @@ def test_similar_pairs_matrix_matches_per_node_loop():
             tuple((int(b), float(rng.random()))
                   for b in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             for _ in range(n))
-        got = _similar_pairs_matrix(neighbors, n)
-        assert got.dtype == bool and np.array_equal(got, similar_pairs_matrix_loop(neighbors, n))
+        got = similarity_from_tuples(neighbors).users.pair_matrix()
+        assert got.dtype == bool and np.array_equal(got.toarray(),
+                                                    similar_pairs_matrix_loop(neighbors, n))
     # the index of a real graph, with degree-0 users (empty neighbour lists)
     ds = dataset_from_pairs(6, 5, {(0, 0), (0, 1), (1, 1), (2, 1), (2, 4), (3, 4)})
     sim = compute_similarity(ds.train_graph, 2)
     assert sim.user_neighbors[4] == () and sim.user_neighbors[5] == ()
-    for neighbors, n in ((sim.user_neighbors, 6), (sim.item_neighbors, 5)):
-        assert np.array_equal(_similar_pairs_matrix(neighbors, n),
-                              similar_pairs_matrix_loop(neighbors, n))
+    for side, neighbors, n in ((sim.users, sim.user_neighbors, 6),
+                               (sim.items, sim.item_neighbors, 5)):
+        assert np.array_equal(side.pair_matrix().toarray(), similar_pairs_matrix_loop(neighbors, n))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sclrec.augment import (AugmentedView, SimilarityIndex, compute_similarity, edge_drop,
-                            node_drop, node_replication)
+from sclrec.augment import (AugmentedView, compute_similarity, edge_drop, node_drop,
+                            node_replication)
 from sclrec.dataset import BipartiteGraph, build_graph
+
+from conftest import similarity_from_tuples
 
 
 def build_graph_reference(edges, num_users, num_items):
@@ -156,8 +158,7 @@ def test_node_replication_reference_cases_occur():
 def test_node_replication_donor_without_neighbors_or_partners():
     # a user with no neighbors draws nothing; a donor with no partners adds nothing
     g = build_graph([(0, 0), (0, 1), (1, 1)], 3, 2)
-    sim = SimilarityIndex(user_neighbors=(((2, 0.0),), (), ((0, 1.0),)),
-                          item_neighbors=(((1, 0.5),), ((0, 0.5),)))
+    sim = similarity_from_tuples((((2, 0.0),), (), ((0, 1.0),)), (((1, 0.5),), ((0, 0.5),)))
     for seed in range(20):
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert_same_view(node_replication(g, 1.0, 2, sim, rng_new),
