@@ -115,6 +115,8 @@ def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int) -> Neighbo
 
 def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
     """User-side and item-side cosine similarity, each side computed separately."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     if graph.num_users < 2 or graph.num_items < 2:
         raise ValueError("similarity needs at least 2 users and 2 items")
     nu, ni = graph.num_users, graph.num_items

@@ -14,7 +14,7 @@ if _threads:
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +27,12 @@ from sclrec.train import TrainConfig, finetune, pretrain
 
 METHODS = ("lightgcn", "sgl", "scl-nd", "scl-ed", "scl-nr")
 METHOD_AUG = {"scl-nd": "ND", "scl-ed": "ED", "scl-nr": "NR", "sgl": "ED"}
+STAGE_CONFIGS = (AugmentationConfig, LossConfig, TrainConfig)
 
 
 @dataclass
-class RunConfig:
+class _RunKeys:
+    """The keys the run itself reads; `RunConfig` adds every stage config field."""
     data_path: str = ""
     method: str = "lightgcn"
     out_dir: str = "out"
@@ -38,23 +40,6 @@ class RunConfig:
     seed: int = 0
     d: int = 128
     layers: int = 3
-    # augmentation
-    rho1: float = 0.1
-    rho2: float = 0.1
-    rho3: float = 0.1
-    k_segments: int = 4
-    top_n: int = 10
-    # loss
-    tau: float = 0.2
-    lambda_l2: float = 1e-4
-    # optimization
-    lr: float = 0.001
-    batch_size: int = 1024
-    pretrain_epochs: int = 200
-    finetune_epochs: int = 400
-    eval_every: int = 10
-    patience: int = 50
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -64,18 +49,24 @@ class RunConfig:
         for name, low in (("d", 1), ("layers", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        self.stage_configs()  # every other value is checked by the config it lands in
+        _aug, _loss, train = self.stage_configs()  # each checks the values it takes
+        if self.method != "lightgcn" and train.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2 to pretrain, got {train.batch_size}")
 
     def stage_configs(self):
-        """The (AugmentationConfig, LossConfig, TrainConfig) of this run."""
-        return (AugmentationConfig(rho1=self.rho1, rho2=self.rho2, rho3=self.rho3,
-                                   k_segments=self.k_segments, top_n=self.top_n,
-                                   method=METHOD_AUG.get(self.method, "ED")),
-                LossConfig(tau=self.tau, lambda_l2=self.lambda_l2),
-                TrainConfig(lr=self.lr, batch_size=self.batch_size,
-                            pretrain_epochs=self.pretrain_epochs,
-                            finetune_epochs=self.finetune_epochs, seed=self.seed,
-                            eval_every=self.eval_every, patience=self.patience, dtype=self.dtype))
+        """The (AugmentationConfig, LossConfig, TrainConfig) of this run: each field
+        takes the run's value of its name, the augmentation method from `method`."""
+        values = {**asdict(self), "method": METHOD_AUG.get(self.method, "ED")}
+        return tuple(cls(**{f.name: values[f.name] for f in fields(cls)})
+                     for cls in STAGE_CONFIGS)
+
+
+# A stage field that a run key names (the augmentation `method`, the `seed`) comes from the run.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, f.default) for cls in STAGE_CONFIGS for f in fields(cls)
+     if f.name not in {k.name for k in fields(_RunKeys)}],
+    bases=(_RunKeys,), namespace={"__module__": __name__})
 
 
 class ConfigError(ValueError):
@@ -131,10 +122,11 @@ def cmd_run(config: RunConfig) -> int:
     if len(dataset.test_keys) == 0:
         return fail(f"{config.data_path}: the split leaves no test interactions "
                     "(every user has a single interaction)")
+    aug, loss_cfg, train_cfg = config.stage_configs()
     sim_index = None
     if config.method.startswith("scl-"):  # supervised InfoNCE; sgl pretrains without the index
         try:
-            sim_index = compute_similarity(dataset.train_graph, config.top_n)
+            sim_index = compute_similarity(dataset.train_graph, aug.top_n)
         except ValueError as exc:
             return fail(f"{config.data_path}: {exc}")
     out = Path(config.out_dir)
@@ -151,7 +143,6 @@ def cmd_run(config: RunConfig) -> int:
         print(line)
 
     print(dataset.summary())
-    aug, loss_cfg, train_cfg = config.stage_configs()
     state = init_embeddings(dataset.num_users, dataset.num_items, config.d,
                             config.seed, dtype=train_cfg.np_dtype, L=config.layers)
     head = None

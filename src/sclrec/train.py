@@ -145,6 +145,8 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
 
     Returns (state, head, loss_curve) with one mean batch loss per epoch.
     """
+    if train_config.batch_size < 2:  # a one-node batch has no negative
+        raise ValueError(f"batch_size must be >= 2 to pretrain, got {train_config.batch_size}")
     dtype = train_config.np_dtype
     graph = dataset.train_graph
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 101]))
@@ -257,11 +259,12 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
              train_config: TrainConfig, log_fn=print):
     """BPR fine-tuning on the full training graph; only e0 is updated.
 
-    Early-stops on NDCG@10 (evaluated every eval_every epochs, patience in
-    epochs); each epoch line goes to `log_fn`. Returns (best_state,
-    best_report, history): the best-scoring state, the `RankingReport` of the
-    evaluation that chose it (None without test interactions), and the metric
-    history as a list of (epoch, mean_loss, ndcg10-or-None).
+    Evaluates NDCG@10 before the first epoch, every eval_every-th epoch and
+    after the last, and early-stops on it (patience in epochs); each epoch
+    line goes to `log_fn`. Returns (best_state, best_report, history): the
+    best-scoring state, the `RankingReport` of the evaluation that chose it
+    (None without test interactions), and the metric history as a list of
+    (epoch, mean_loss, ndcg10-or-None).
     """
     dtype = train_config.np_dtype
     adj = norm_adj_as(dataset.train_graph, dtype)
@@ -306,7 +309,8 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
                 raise FloatingPointError(f"finetune epoch {epoch}: {exc}") from exc
         epoch_loss = float(np.mean(losses)) if losses else float("nan")
         ndcg = None
-        if can_eval and epoch % train_config.eval_every == 0:
+        if can_eval and (epoch % train_config.eval_every == 0
+                         or epoch == train_config.finetune_epochs):
             report = eval_report()
             ndcg = report.ndcg_at[10]
             if ndcg > best_report.ndcg_at[10]:

@@ -153,6 +153,13 @@ def test_similarity_requires_two_per_side():
         compute_similarity(g, top_n=1)
 
 
+@pytest.mark.parametrize("top_n", [0, -1])
+def test_similarity_rejects_top_n_below_1(top_n):
+    g = build_graph([(0, 0), (0, 1), (1, 0), (1, 2)], 2, 3)
+    with pytest.raises(ValueError, match=f"^top_n must be >= 1, got {top_n}$"):
+        compute_similarity(g, top_n)
+
+
 def test_node_replication_identity(rng):
     g = build_graph([(0, 0), (0, 1), (1, 0), (1, 2)], 2, 3)
     sim = compute_similarity(g, top_n=2)

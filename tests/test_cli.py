@@ -57,6 +57,17 @@ def test_parse_config_round_trip():
     assert config_hash(again) == config_hash(cfg)
 
 
+def test_readme_example_config_parses():
+    # a key the README's example sets that RunConfig no longer has fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = parse_config(block)
+    settings = [line.split("#", 1)[0].split("=") for line in block.splitlines()]
+    assert len(settings) > 10
+    for key, value in settings:
+        assert str(getattr(config, key.strip())) == value.strip()
+
+
 def test_parse_config_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("bogus_key = 1\n")
@@ -283,20 +294,35 @@ BAD_CONFIG_VALUES = [("tau", "0"), ("rho1", "2"), ("k_segments", "0"), ("batch_s
                      ("lr", "nan"), ("lambda_l2", "nan")]
 
 
-@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES, ids=[f"{k}={v}" for k, v in BAD_CONFIG_VALUES])
-def test_run_bad_config_value_exit_2_before_reading_data(tmp_path, data_file, capsys,
-                                                         monkeypatch, key, value):
+def assert_config_error_before_reading_data(tmp_path, data_file, capsys, monkeypatch,
+                                            settings, key):
     def no_read(path):
         raise AssertionError("data read before the config was checked")
 
     monkeypatch.setattr("sclrec.cli.load_ml100k", no_read)
-    cfg = write_config(tmp_path, data_file, **{key: value})
+    cfg = write_config(tmp_path, data_file, **settings)
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError):
-        parse_config(f"{key} = {value}\n")
+        parse_config("".join(f"{k} = {v}\n" for k, v in settings.items()))
+
+
+@pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES, ids=[f"{k}={v}" for k, v in BAD_CONFIG_VALUES])
+def test_run_bad_config_value_exit_2_before_reading_data(tmp_path, data_file, capsys,
+                                                         monkeypatch, key, value):
+    assert_config_error_before_reading_data(tmp_path, data_file, capsys, monkeypatch,
+                                            {key: value}, key)
+
+
+@pytest.mark.parametrize("method", ["sgl", "scl-nd", "scl-ed", "scl-nr"])
+def test_run_pretraining_batch_size_1_exit_2_before_reading_data(tmp_path, data_file, capsys,
+                                                                 monkeypatch, method):
+    # a one-node contrastive batch has no negative; lightgcn's BPR batches may hold one triple
+    assert_config_error_before_reading_data(tmp_path, data_file, capsys, monkeypatch,
+                                            {"method": method, "batch_size": 1}, "batch_size")
+    assert RunConfig(method="lightgcn", batch_size=1).batch_size == 1
 
 
 # RunConfig keys that the run itself reads; `method` also picks the augmentation

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclrec import metrics
 from sclrec.metrics import RankingReport, evaluate, map_at_k, mrr_at_k, ndcg_at_k
@@ -182,6 +184,25 @@ def test_evaluate_matches_per_user_oracle(monkeypatch, dtype):
             assert report.map_at[k] == pytest.approx(expected["map", k], rel=1e-12)
             assert report.mrr_at[k] == pytest.approx(expected["mrr", k], rel=1e-12)
             assert report.ndcg_at[k] == pytest.approx(expected["ndcg", k], rel=1e-12)
+
+
+@st.composite
+def tied_scores(draw):
+    """Integer scores (so rows tie), some -inf (excluded items), and a k up to the width."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    cell = st.sampled_from([-np.inf, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    scores = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    return np.array(scores), draw(st.integers(1, cols))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tied_scores())
+def test_top_k_is_stable_descending_argsort(case):
+    # score descending, then column id ascending: the rule evaluate and the similarity index share
+    scores, k = case
+    expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(metrics.top_k(scores, k), expected)
 
 
 def test_evaluate_rejects_non_finite_scores_and_bad_cutoffs():

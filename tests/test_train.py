@@ -465,6 +465,22 @@ def test_finetune_stops_patience_epochs_after_first_best():
     assert np.array_equal(out.stacked(), at_best.stacked())
 
 
+def test_finetune_evaluates_after_the_last_epoch():
+    # 5 epochs at eval_every = 2: epochs 0, 2 and 4 on schedule, and 5, the last
+    ds = toy_dataset(seed=1)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    lines = []
+    _, _, history = finetune(ds, state, LossConfig(),
+                             small_train_config(finetune_epochs=5, eval_every=2, lr=0.05),
+                             log_fn=lines.append)
+    assert [epoch for epoch, _, ndcg in history if ndcg is not None] == [0, 2, 4, 5]
+    assert " ndcg10=" in lines[-1]
+    # evaluation draws nothing from the rng: epoch 5 scores as in an every-epoch run
+    _, _, every = finetune(ds, state, LossConfig(),
+                           small_train_config(finetune_epochs=5, eval_every=1, lr=0.05))
+    assert history[-1] == every[-1]
+
+
 def test_finetune_returns_the_report_of_the_best_state():
     # eval_every = 2, stopped at epoch 20 after its best at epoch 16: the report
     # is the best state's evaluation, not the initial or the last one
@@ -516,6 +532,14 @@ def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch):
         "or zero-norm projection), skipped" for epoch in (1, 2, 3)]
     assert [line.split(" loss=")[0] for line in lines[1::2]] == [
         f"stage=pretrain epoch={epoch}" for epoch in (1, 2, 3)]
+
+
+def test_pretrain_rejects_one_node_batches():
+    ds = toy_dataset(seed=3, with_test=False)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    with pytest.raises(ValueError, match="batch_size must be >= 2 to pretrain, got 1"):
+        pretrain(ds, None, AugmentationConfig(method="ED"), state, LossConfig(),
+                 small_train_config(batch_size=1))
 
 
 def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
