@@ -9,17 +9,25 @@ the same operator applied to the output gradient (A_hat is symmetric).
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from sclrec.dataset import BipartiteGraph
 
 CKPT_MAGIC = b"SCLCKPT1"
 _CKPT_HEADER = 24  # magic + u32 (num_users, num_items, d, L)
 _HEAD_HEADER = 12  # u32 (d, d_h, d_p) before the head's arrays
+_THREADS = int(os.environ.get("SCL_THREADS") or len(os.sched_getaffinity(0)))
+# Its threads start with the first split product; a forked child, which has none, gets a new pool.
+_POOL = ThreadPoolExecutor(_THREADS - 1) if _THREADS > 1 else None
+os.register_at_fork(after_in_child=lambda: globals().update(
+    _POOL=_POOL and ThreadPoolExecutor(_THREADS - 1)))
 
 
 @dataclass
@@ -80,11 +88,33 @@ def norm_adj_as(graph: BipartiteGraph, dtype):
     return adj if adj.dtype == dtype else adj.astype(dtype)
 
 
+def spmm(adj, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """adj @ e for a CSR adj, into `out` (C-contiguous zeros) when given: _THREADS threads each
+    sum an nnz-balanced block of rows in adj @ e's own order, so the bytes are adj @ e's."""
+    (m, n), k = adj.shape, e.shape[-1]
+    if e.ndim != 2 or e.shape[0] != n:
+        raise ValueError(f"matmul: dimension mismatch with signature (n,k={n}),(k={e.shape[0]},m)->(n,m)")
+    dtype = np.result_type(adj.dtype, e.dtype)
+    out = np.zeros((m, k), dtype) if out is None else out
+    if adj.format != "csr" or dtype not in (np.float32, np.float64) or out.shape != (m, k) \
+            or out.dtype != dtype or not out.flags.c_contiguous:  # the kernel checks none of this
+        raise ValueError(f"spmm needs float32/float64 CSR @ dense into a C-contiguous {dtype} {(m, k)} "
+                         f"out, got {adj.format} {adj.dtype} @ {e.dtype} into {out.dtype} {out.shape}")
+    x, p = np.ascontiguousarray(e).ravel(), adj.indptr
+    cuts = [0, *np.searchsorted(p, np.arange(1, _THREADS) * (adj.nnz / _THREADS)).tolist(), m]
+    def block(a, b):  # out[a:b] += adj[a:b] @ e; the indptr slice keeps adj's offsets
+        _sparsetools.csr_matvecs(b - a, n, k, p[a:b + 1], adj.indices, adj.data, x, out[a:b].ravel())
+    rest = _POOL.map(block, cuts[1:-1], cuts[2:]) if _THREADS > 1 else ()
+    block(cuts[0], cuts[1])
+    list(rest)  # waits for the other blocks and raises their errors
+    return out
+
+
 def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None) -> np.ndarray:
     """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
-    layers 0..L. The one propagation kernel; e0 is not modified. With
+    layers 0..L, each product an spmm of the CSR adj; e0 is not modified. With
     side=(start, stop), e0 must be zero outside those rows (one side of the
-    bipartite graph) and adj CSR; each layer then multiplies only the half
+    bipartite graph); each layer then multiplies only the half
     block of adj that maps the current side to the other, with the full call's result.
     With rows, the full result's `rows`, bit for bit: the last layer runs adj[rows] only."""
     acc = e0.copy() if rows is None else e0[rows]
@@ -96,13 +126,13 @@ def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None) -> np.ndarray:
                                 shape=(b - a, adj.shape[1]), copy=False) for a, b in halves]
     for layer in range(1, L + 1):
         if side is not None:
-            e_next = np.zeros_like(e0)
-            e_next[slice(*halves[layer % 2])] = blocks[layer % 2] @ e
+            e_next = np.zeros(e0.shape, np.result_type(adj.dtype, e.dtype))
+            spmm(blocks[layer % 2], e, out=e_next[slice(*halves[layer % 2])])
             e = e_next
         elif rows is not None and layer == L:
-            e = adj[rows] @ e
+            e = spmm(adj[rows], e)
         else:
-            e = adj @ e
+            e = spmm(adj, e)
         acc += e if rows is None or layer == L else e[rows]
     acc /= L + 1
     return acc

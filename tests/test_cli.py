@@ -485,3 +485,58 @@ def test_similarity_and_lightgcn_checkpoint_are_blas_thread_invariant(tmp_path):
         out = run_fresh(tmp_path, data, threads, method="lightgcn", finetune_epochs=1)
         checkpoints.append((out / "checkpoint.sclckpt").read_bytes())
     assert sims[0] == sims[1] and checkpoints[0] == checkpoints[1]
+
+
+def test_lightgcn_artifacts_are_propagation_thread_invariant(tmp_path):
+    # SCL_THREADS also cuts each propagation product into that many row blocks;
+    # every row keeps adj @ e's summation order, so no artifact byte moves
+    rng = np.random.default_rng(11)
+    data = tmp_path / "u.data"
+    lines = [f"{u}\t{i}\t3\t0\n" for u in range(1, 301)
+             for i in 1 + rng.choice(400, size=int(rng.integers(5, 60)), replace=False)]
+    data.write_text("".join(lines))
+    outs = [run_fresh(tmp_path, data, threads, method="lightgcn", finetune_epochs=2,
+                      eval_every=1) for threads in (1, 2, 3)]
+    for name in ("checkpoint.sclckpt", "report.csv", "train.log"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1, name
+
+
+# Counts the threads the package starts, and the sclrec functions that run on them.
+THREAD_PROBE = """
+import threading
+before = threading.active_count()
+import sclrec.cli as cli
+from sclrec import gcn
+from sclrec.dataset import build_graph
+assert threading.active_count() == before, "import"
+state = gcn.init_embeddings(30, 40, 8, seed=0)
+gcn.save_checkpoint("ck.sclckpt", state)
+open("report.csv", "w").write("ndcg10\\n1.0\\n")
+assert cli.main(["inspect-checkpoint", "ck.sclckpt"]) == 0 == cli.main(["compare", "report.csv"])
+assert threading.active_count() == before, "inspect-checkpoint or compare"
+on_workers = set()
+
+def profile(frame, event, arg):
+    if event == "call" and "sclrec" in frame.f_code.co_filename:
+        on_workers.add(frame.f_code.co_name)
+
+threading.setprofile(profile)  # every thread started from here on, not this one
+graph = build_graph([(u, (u * j) % 40) for u in range(30) for j in range(1, 9)], 30, 40)
+gcn.propagate(state, graph)
+print(threading.active_count() - before, sorted(on_workers))
+"""
+
+
+@pytest.mark.parametrize("threads,started", [(1, "0 []"), (2, "1 ['block']")])
+def test_threads_start_at_the_first_split_product_and_run_only_the_kernel(
+        tmp_path, threads, started):
+    # import, compare and inspect-checkpoint start no thread; benchmarks/tracer.py's
+    # spans assume the main thread, so no traced function may run on a worker
+    src = str(Path(sclrec.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(SCL_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == started

@@ -1,10 +1,22 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from sclrec import gcn
 from sclrec.dataset import build_graph
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_embeddings, init_head,
                         layer_mean, load_checkpoint, project_backward, project_forward,
-                        propagate, propagate_backward, save_checkpoint)
+                        propagate, propagate_backward, save_checkpoint, spmm)
 
 from conftest import random_bipartite
 
@@ -249,3 +261,154 @@ def test_layer_mean_rows_is_bit_identical_to_full(L):
                 got = layer_mean(e0, adj, L, rows=rows)
                 assert got.dtype == dtype and got.tobytes() == full[rows].tobytes()
             assert np.array_equal(e0, before)
+
+
+POOLS = {n: ThreadPoolExecutor(n - 1) if n > 1 else None for n in (1, 2, 3, 4)}
+
+
+@contextmanager
+def blocks_of(n):
+    """spmm splits its rows into n blocks, n - 1 of them on worker threads."""
+    saved = gcn._THREADS, gcn._POOL
+    gcn._THREADS, gcn._POOL = n, POOLS[n]
+    try:
+        yield
+    finally:
+        gcn._THREADS, gcn._POOL = saved
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def csr_and_dense(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    m, n, k = draw(st.integers(0, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    values = draw(hnp.arrays(dtype, (m, n), elements=st.floats(-2, 2, width=32)))
+    mask = draw(hnp.arrays(np.bool_, (m, n)))
+    layout = draw(st.sampled_from(["any", "one row", "no entries"]))
+    if layout == "one row" and m:
+        mask[:] = False  # every entry in one row, so some blocks are empty
+        mask[draw(st.integers(0, m - 1))] = True
+    elif layout == "no entries":
+        mask[:] = False
+    adj = sp.csr_matrix(np.where(mask, values, 0).astype(dtype))
+    base = draw(hnp.arrays(dtype, (n + 3, 2 * k), elements=st.floats(-2, 2, width=32)))
+    shape = draw(st.sampled_from(["contiguous", "columns ::2", "rows", "fortran"]))
+    if shape == "contiguous":
+        e = np.ascontiguousarray(base[:n, :k])
+    elif shape == "columns ::2":
+        e = base[:n, ::2]
+    elif shape == "rows":
+        e = base[draw(st.permutations(range(n + 3)))[:n]][:, :k]
+    else:
+        e = np.asfortranarray(base[:n, :k])
+    return adj, e
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(csr_and_dense())
+def test_spmm_is_bit_identical_to_scipy_at_1_to_4_blocks(case):
+    # each block sums its rows in adj @ e's order: no row is dropped, repeated or reordered
+    adj, e = case
+    want = adj @ e
+    for n in POOLS:
+        with blocks_of(n):
+            assert_same_bytes(spmm(adj, e), want)
+
+
+@pytest.mark.parametrize("n", list(POOLS))
+def test_spmm_writes_a_half_block_in_place_as_layer_mean_builds_it(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(12):
+        g = random_bipartite(rng)
+        nu, total = g.num_users, g.num_nodes
+        for dtype in (np.float32, np.float64):
+            adj = g.norm_adj.astype(dtype)
+            p = adj.indptr
+            e = rng.normal(size=(total, 7)).astype(dtype)
+            for a, b in ((0, nu), (nu, total)):
+                block = sp.csr_matrix((adj.data[p[a]:p[b]], adj.indices[p[a]:p[b]],
+                                       p[a:b + 1] - p[a]), shape=(b - a, total), copy=False)
+                e_next = np.zeros_like(e)
+                with blocks_of(n):
+                    assert spmm(block, e, out=e_next[a:b]).base is e_next
+                assert_same_bytes(e_next[a:b], block @ e)
+                assert not e_next[:a].any() and not e_next[b:].any()
+
+
+def test_spmm_rejects_what_the_kernel_cannot_take_before_it_runs(monkeypatch):
+    class NoKernel:
+        def csr_matvecs(self, *args):
+            raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(gcn, "_sparsetools", NoKernel())
+    adj = sp.random(6, 4, density=0.5, format="csr", dtype=np.float32, random_state=0)
+    e = np.ones((4, 3), np.float32)
+    with pytest.raises(ValueError) as scipy_error:
+        adj @ np.ones((5, 3), np.float32)
+    for n in POOLS:
+        with blocks_of(n):
+            # adj.shape[1] != e.shape[0]: the kernel would read past e
+            with pytest.raises(ValueError) as err:
+                spmm(adj, np.ones((5, 3), np.float32))
+            assert str(err.value) == str(scipy_error.value)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                spmm(adj, np.ones(4, np.float32))
+            bad = [
+                (adj.astype(np.int64), e.astype(np.int64), None),  # an integer product
+                (adj, e.astype(np.complex64), None),
+                (adj, e, np.zeros((6, 3), np.float64)),  # float32 operands, float64 out
+                (adj.astype(np.float64), e, np.zeros((6, 3), np.float32)),
+                (adj, e, np.zeros((5, 3), np.float32)),  # the kernel would write past out
+                (adj, e, np.zeros((6, 6), np.float32)[:, ::2]),  # ravel would copy out
+                (adj.tocsc(), e, None),  # indptr over columns
+            ]
+            for a, x, out in bad:
+                with pytest.raises(ValueError, match="spmm needs"):
+                    spmm(a, x, out=out)
+
+
+def test_spmm_from_more_callers_than_cores_shares_the_pool():
+    # every caller hands its blocks to the same workers; each out is written only by its own
+    rng = np.random.default_rng(5)
+    adj = sp.random(400, 300, density=0.05, format="csr", dtype=np.float32, random_state=rng)
+    es = [rng.normal(size=(300, 6)).astype(np.float32) for _ in range(8)]
+    wants = [adj @ e for e in es]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blocks_of(3), ThreadPoolExecutor(6) as callers:
+            jobs = [callers.submit(spmm, adj, es[i % 8]) for i in range(64)]
+            for i, job in enumerate(jobs):
+                assert_same_bytes(job.result(timeout=60), wants[i % 8])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+FORK_PROBE = """
+import os, signal, warnings
+import numpy as np, scipy.sparse as sp
+from sclrec.gcn import spmm
+warnings.simplefilter("ignore", DeprecationWarning)  # forking a process that has threads
+adj = sp.random(300, 300, density=0.1, format="csr", random_state=0)
+e = np.ones((300, 4))
+want = spmm(adj, e)  # starts the pool's threads, which a forked child does not inherit
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if np.array_equal(spmm(adj, e), want) else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+def test_spmm_in_a_forked_child_gets_a_new_pool():
+    env = {**os.environ, "SCL_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in (str(Path(gcn.__file__).parents[1]),
+                                                     os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", FORK_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
