@@ -4,16 +4,20 @@ inspect-checkpoint."""
 from __future__ import annotations
 
 import os
+import sys
 
-# Thread cap must land before the numeric stack loads its BLAS.
-_threads = os.environ.get("SCL_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+from sclrec import scl_threads
+
+try:  # BLAS thread caps must land before numpy loads
+    if _threads := scl_threads(os.environ.get("SCL_THREADS")):
+        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(_var, str(_threads))
+except ValueError as exc:  # a bad SCL_THREADS, on which gcn's import raises, is a usage error
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(2)
 
 import argparse
 import hashlib
-import sys
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 

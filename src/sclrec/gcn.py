@@ -18,12 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from sclrec import scl_threads
 from sclrec.dataset import BipartiteGraph
 
 CKPT_MAGIC = b"SCLCKPT1"
 _CKPT_HEADER = 24  # magic + u32 (num_users, num_items, d, L)
 _HEAD_HEADER = 12  # u32 (d, d_h, d_p) before the head's arrays
-_THREADS = int(os.environ.get("SCL_THREADS") or len(os.sched_getaffinity(0)))
+_THREADS = scl_threads(os.environ.get("SCL_THREADS")) or len(os.sched_getaffinity(0))
 # Its threads start with the first split product; a forked child, which has none, gets a new pool.
 _POOL = ThreadPoolExecutor(_THREADS - 1) if _THREADS > 1 else None
 os.register_at_fork(after_in_child=lambda: globals().update(
@@ -89,8 +90,8 @@ def norm_adj_as(graph: BipartiteGraph, dtype):
 
 
 def spmm(adj, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """adj @ e for a CSR adj, into `out` (C-contiguous zeros) when given: _THREADS threads each
-    sum an nnz-balanced block of rows in adj @ e's own order, so the bytes are adj @ e's."""
+    """adj @ e for a CSR adj; adds adj @ e into `out` (C-contiguous) when given. _THREADS threads
+    each add an nnz-balanced block of rows entry by entry in CSR order: adj @ e's bytes, np.add.at's."""
     (m, n), k = adj.shape, e.shape[-1]
     if e.ndim != 2 or e.shape[0] != n:
         raise ValueError(f"matmul: dimension mismatch with signature (n,k={n}),(k={e.shape[0]},m)->(n,m)")

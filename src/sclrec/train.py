@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from sclrec.augment import make_views
 from sclrec.dataset import in_sorted
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, norm_adj_as,
-                        project_backward, project_forward)
+                        project_backward, project_forward, spmm)
 from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
 from sclrec.metrics import evaluate
@@ -189,17 +189,6 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     return out, head, loss_curve
 
 
-def _one_hot(rows: np.ndarray, num_rows: int, dtype) -> sp.csr_matrix:
-    """CSR S with S[rows[k], k] = 1, columns of a row in ascending k. S @ X
-    adds the X rows that share a target row starting from zero, in the order
-    np.add.at adds them, so the sums are bit-identical to it."""
-    order = np.argsort(rows, kind="stable").astype(np.int32)
-    indptr = np.zeros(num_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-    return sp.csr_matrix((np.ones(len(rows), dtype=dtype), order, indptr),
-                         shape=(num_rows, len(rows)))
-
-
 def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarray,
                        bj: np.ndarray, lambda_l2: float):
     """One BPR mini-batch end to end: mean loss over the triples and its
@@ -223,24 +212,13 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
     loss, g_pos, g_neg = bpr_loss(y_pos, y_neg, sq, lambda_l2)
     g_pos = (g_pos / nb).astype(e0.dtype)[:, None]
     g_neg = (g_neg / nb).astype(e0.dtype)[:, None]
-    # Both scatters are products with [I | S] over the touched rows, S the
-    # one-hot of `rows`: row r of [I | S] @ [base; terms] adds r's batch terms
-    # to base[r] in batch order, as np.add.at does. The first base is zero.
-    touched, slot = np.unique(rows, return_inverse=True)
-    nt = len(touched)
-    scatter = _one_hot(np.concatenate([np.arange(nt), slot]), nt, e0.dtype)
-    stack = np.zeros((nt + 3 * nb, e0.shape[1]), dtype=e0.dtype)
-    terms = stack[nt:]
-    np.multiply(g_pos, fi, out=terms[:nb])
-    terms[:nb] += g_neg * fj
-    np.multiply(g_pos, fu, out=terms[nb:2 * nb])
-    np.multiply(g_neg, fu, out=terms[2 * nb:])
-    grad_final = np.zeros_like(e0)
-    grad_final[touched] = scatter @ stack
-    grad_e0 = _propagate_raw(grad_final, adj, L)
-    np.take(grad_e0, touched, axis=0, out=stack[:nt])
-    np.multiply(e, 2.0 * lambda_l2 / nb, out=terms)
-    grad_e0[touched] = scatter @ stack
+    # S[rows[k], k] = 1, each row's columns in ascending k: spmm adds a row's
+    # batch terms into its out row in batch order, as np.add.at does.
+    scatter = sp.csr_matrix((np.ones(3 * nb, e0.dtype), (rows, np.arange(3 * nb))),
+                            shape=(len(e0), 3 * nb))
+    terms = np.concatenate([g_pos * fi + g_neg * fj, g_pos * fu, g_neg * fu])
+    grad_e0 = _propagate_raw(spmm(scatter, terms), adj, L)
+    spmm(scatter, np.multiply(e, 2.0 * lambda_l2 / nb, out=e), out=grad_e0)  # e is a gathered copy
     return loss / nb, grad_e0
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sclrec
+from sclrec import scl_threads
 from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.cli import (ConfigError, RunConfig, cmd_compare, config_hash,
                         emit_config, main, parse_config)
@@ -434,6 +435,32 @@ def test_scl_threads_is_set_before_numpy_loads(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+def test_bad_scl_threads_exit_2_before_reading_the_config(tmp_path, data_file, value):
+    # none of these starts a thread: the CLI stops before numpy loads, gcn's import
+    # before it makes its pool
+    message = f"SCL_THREADS must be a positive integer, got '{value}'"
+    env = {**os.environ, "SCL_THREADS": value}
+    for cfg in (write_config(tmp_path, data_file), tmp_path / "missing.cfg"):
+        proc = cli_process(cfg, env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+    src = str(Path(sclrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sclrec.gcn"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stderr.splitlines()[-1] == f"ValueError: {message}"
+
+
+def test_scl_threads_takes_only_a_positive_integer():
+    assert scl_threads(None) is None and scl_threads("") is None
+    assert [scl_threads(v) for v in ("1", "2", "16", "007")] == [1, 2, 16, 7]
+    for value in ("abc", "1.5", "0", "00", "-2", "+2", " 2", "2 ", "1_0", "\u00b2", "1e1"):
+        with pytest.raises(ValueError) as err:
+            scl_threads(value)
+        assert str(err.value) == f"SCL_THREADS must be a positive integer, got {value!r}"
 
 
 def test_compare_missing_report_one_error_line_exit_1(tmp_path, capsys):

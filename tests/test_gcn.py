@@ -308,15 +308,35 @@ def csr_and_dense(draw):
     return adj, e
 
 
+@st.composite
+def one_hot_and_out(draw):
+    """S[rows[k], k] = 1 with rows repeating, terms to scatter, and a nonzero out."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rows = np.array(draw(st.lists(st.integers(0, m - 1), max_size=30)), dtype=np.int64)
+    scatter = sp.csr_matrix((np.ones(len(rows), dtype), (rows, np.arange(len(rows)))),
+                            shape=(m, len(rows)))
+    floats = st.floats(-1e3, 1e3, width=32)
+    return scatter, rows, draw(hnp.arrays(dtype, (len(rows), k), elements=floats)), \
+        draw(hnp.arrays(dtype, (m, k), elements=floats.filter(bool)))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(csr_and_dense())
-def test_spmm_is_bit_identical_to_scipy_at_1_to_4_blocks(case):
-    # each block sums its rows in adj @ e's order: no row is dropped, repeated or reordered
+@given(csr_and_dense(), one_hot_and_out())
+def test_spmm_is_bit_identical_to_scipy_at_1_to_4_blocks(case, scatter_case):
+    # each block sums its rows in adj @ e's order: no row is dropped, repeated or reordered;
+    # into a given out it adds entry by entry in CSR order, which for a one-hot adj is np.add.at's
     adj, e = case
     want = adj @ e
+    scatter, rows, terms, base = scatter_case
+    scattered = base.copy()
+    np.add.at(scattered, rows, terms)
     for n in POOLS:
         with blocks_of(n):
             assert_same_bytes(spmm(adj, e), want)
+            out = base.copy()
+            assert spmm(scatter, terms, out=out) is out
+            assert_same_bytes(out, scattered)
 
 
 @pytest.mark.parametrize("n", list(POOLS))
