@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from sclrec.dataset import BipartiteGraph, build_graph, key_pairs
+from sclrec.dataset import BipartiteGraph, build_graph, in_sorted, key_pairs
 from sclrec.metrics import top_k
 
 SIM_MAGIC = b"SCLSIM1\0"
@@ -74,10 +74,8 @@ class Neighbors:
         n = len(self.counts)
         a = np.repeat(np.arange(n), self.counts)
         b = self.ids[np.arange(self.ids.shape[1]) < self.counts[:, None]]
-        keys = np.sort(np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
-        keys = keys[np.diff(keys, prepend=-1) != 0]  # each pair once
-        return sp.csr_matrix((np.ones(len(keys), dtype=bool), keys % n,
-                              np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+        m = sp.csr_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+        return m + m.T + sp.eye(n, dtype=bool, format="csr")
 
     @cached_property
     def tuples(self) -> tuple:
@@ -103,8 +101,7 @@ def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int) -> Neighbo
     list no one and score 0 against everyone else.
     """
     n = len(deg)
-    inv = np.zeros(n)
-    inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    inv = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
     scores = counts * inv[:, None]  # float64; rows, then columns, for the scores' bits
     scores *= inv[None, :]
     np.fill_diagonal(scores, -np.inf)  # self excluded
@@ -169,7 +166,6 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     # a node's partners are its CSR row: stacked ids of the other side, ascending
     indptr, indices = graph.norm_adj.indptr, graph.norm_adj.indices.astype(np.int64)
     selected = rng.random(graph.num_nodes) < rho3
-    is_partner = np.zeros(graph.num_nodes, dtype=bool)
     removed, added, replicated = [], [], []
     for node in np.flatnonzero(selected).tolist():  # users, then items
         as_user = node < nu
@@ -184,21 +180,17 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
         start = s * size + min(s, extra)
         seg = partners[start:start + size + (s < extra)]
         donor = int(side.ids[row, rng.integers(count)]) + (0 if as_user else nu)
-        is_partner[partners] = True
         donor_partners = indices[indptr[donor]:indptr[donor + 1]]
-        novel = donor_partners[~is_partner[donor_partners]]
-        is_partner[partners] = False
+        novel = donor_partners[~in_sorted(partners, donor_partners)]
         n_add = min(len(seg), len(novel))
         picks = rng.choice(len(novel), size=n_add, replace=False) if n_add else []
         for others, out in ((seg, removed), (np.sort(novel[picks]), added)):
-            users, items = ((np.full(len(others), node), others - nu) if as_user
-                            else (others, np.full(len(others), node - nu)))
-            out.append(users * ni + items)
+            out.append(node * ni + others - nu if as_user else others * ni + node - nu)
         replicated.append(node)
     edges = graph.edge_array()
     keys = edges[:, 0] * ni + edges[:, 1]
     if removed:
-        keys = np.concatenate([keys[~np.isin(keys, np.concatenate(removed))], *added])
+        keys = np.concatenate([keys[~in_sorted(np.sort(np.concatenate(removed)), keys)], *added])
     g = build_graph(key_pairs(keys, ni), nu, ni)
 
     def replications():  # each edge key back to its (user, item) pair

@@ -138,8 +138,6 @@ def cmd_run(config: RunConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
         return fail(f"{config.out_dir}: {exc.strerror}")
-    if sim_index is not None:
-        save_similarity(sim_index, out / "similarity.sclsim")
     log_lines = []
 
     def log_fn(line):
@@ -150,16 +148,18 @@ def cmd_run(config: RunConfig) -> int:
     state = init_embeddings(dataset.num_users, dataset.num_items, config.d,
                             config.seed, dtype=train_cfg.np_dtype, L=config.layers)
     head = None
-    try:  # overflow and NaN end in adam_step's finiteness check, reported as one line below
+    try:  # overflow and NaN end in a gradient or score finiteness check, reported as one line
         with np.errstate(over="ignore", invalid="ignore"):
             if config.method != "lightgcn":
                 state, head, _curve = pretrain(dataset, sim_index, aug, state, loss_cfg,
                                                train_cfg, log_fn=log_fn)
             state, report, _history = finetune(dataset, state, loss_cfg, train_cfg,
                                                log_fn=log_fn)
-    except FloatingPointError as exc:  # adam_step's check, named with its stage and epoch
+    except FloatingPointError as exc:  # the check names its stage and epoch
         return fail(exc)
 
+    if sim_index is not None:
+        save_similarity(sim_index, out / "similarity.sclsim")
     save_checkpoint(out / "checkpoint.sclckpt", state, head)
     csv_text = report.csv_header() + "\n" + report.csv_row(config.method) + "\n"
     (out / "report.csv").write_text(csv_text)

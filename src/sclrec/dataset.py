@@ -66,7 +66,8 @@ def pair_keys(edges, num_users: int, num_items: int) -> np.ndarray:
     if bad.any():
         u, i = edges[bad][np.lexsort((ie[bad], ue[bad]))[0]].tolist()
         raise ValueError(f"edge ({u},{i}) out of range")
-    # keep the first of each run of equal sorted keys
+    # keep the first of each run of equal sorted keys; np.unique hashes (numpy 2.4),
+    # 13-25 ms on 60k-100k keys against ~1 ms here, and this runs for every view
     keys = np.sort(ue * num_items + ie)
     return keys[np.diff(keys, prepend=-1) != 0]
 
@@ -177,7 +178,8 @@ def split_train_test(dataset: InteractionDataset, ratio: float = 0.8, seed: int 
     items (ascending); the first floor(ratio * n_u) (at least 1) go to train."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
-    keys = np.union1d(dataset.train_keys, dataset.test_keys)
+    # their union: both are sorted and distinct, and the constructor rejects overlap
+    keys = np.sort(np.concatenate([dataset.train_keys, dataset.test_keys]))
     _, starts, counts = np.unique(keys // dataset.num_items, return_index=True, return_counts=True)
     n_train = np.maximum(1, np.floor(ratio * counts).astype(np.int64))
     rng = np.random.default_rng(seed)

@@ -83,12 +83,6 @@ def init_head(d: int, d_h: int, d_p: int, seed: int, dtype=np.float64) -> Projec
     )
 
 
-def norm_adj_as(graph: BipartiteGraph, dtype):
-    """The graph's normalized adjacency in `dtype`; cast only when it differs."""
-    adj = graph.norm_adj
-    return adj if adj.dtype == dtype else adj.astype(dtype)
-
-
 def spmm(adj, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """adj @ e for a CSR adj; adds adj @ e into `out` (C-contiguous) when given. _THREADS threads
     each add an nnz-balanced block of rows entry by entry in CSR order: adj @ e's bytes, np.add.at's."""
@@ -144,14 +138,14 @@ def propagate(state: EmbeddingState, graph: BipartiteGraph) -> PropagatedEmbeddi
     n = state.user_emb.shape[0] + state.item_emb.shape[0]
     if graph.num_nodes != n:
         raise ValueError(f"graph has {graph.num_nodes} nodes but state has {n}")
-    final = layer_mean(state.stacked(), norm_adj_as(graph, state.user_emb.dtype), state.L)
+    final = layer_mean(state.stacked(), graph.norm_adj.astype(state.user_emb.dtype, copy=False), state.L)
     return PropagatedEmbeddings(final_user=final[: graph.num_users],
                                 final_item=final[graph.num_users:])
 
 
 def propagate_backward(grad_final: np.ndarray, graph: BipartiteGraph, L: int) -> np.ndarray:
     """Gradient of the layer-mean propagation w.r.t. E^(0): A_hat is symmetric, so the same map."""
-    return layer_mean(grad_final, norm_adj_as(graph, grad_final.dtype), L)
+    return layer_mean(grad_final, graph.norm_adj.astype(grad_final.dtype, copy=False), L)
 
 
 def project_forward(h: np.ndarray, head: ProjectionHead):

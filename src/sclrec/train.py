@@ -3,15 +3,15 @@ then BPR fine-tuning, both driven by a from-scratch Adam."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from sclrec.augment import make_views
 from sclrec.dataset import in_sorted
-from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, norm_adj_as,
-                        project_backward, project_forward, spmm)
+from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, project_backward,
+                        project_forward, spmm)
 from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
 from sclrec.metrics import evaluate
@@ -161,8 +161,8 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     loss_curve = []
     for epoch in range(1, train_config.pretrain_epochs + 1):
         v1, v2 = make_views(graph, aug_config, sim_index, rng)
-        adj1 = norm_adj_as(v1.graph, dtype)
-        adj2 = norm_adj_as(v2.graph, dtype)
+        adj1 = v1.graph.norm_adj.astype(dtype, copy=False)
+        adj2 = v2.graph.norm_adj.astype(dtype, copy=False)
         batch_losses = []
         for side, pair_mat in (((0, nu), pair_user), ((nu, nu + ni), pair_item)):
             order = rng.permutation(side[1] - side[0])
@@ -184,9 +184,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
         loss_curve.append(epoch_loss)
         log_fn(f"stage=pretrain epoch={epoch} loss={epoch_loss:.6f}")
-    out = EmbeddingState(user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy(),
-                         d=state.d, L=state.L)
-    return out, head, loss_curve
+    return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy()), head, loss_curve
 
 
 def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarray,
@@ -245,7 +243,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     (epoch, mean_loss, ndcg10-or-None).
     """
     dtype = train_config.np_dtype
-    adj = norm_adj_as(dataset.train_graph, dtype)
+    adj = dataset.train_graph.norm_adj.astype(dtype, copy=False)
     rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 202]))
     nu = dataset.num_users
     e0 = state.stacked().astype(dtype)
@@ -259,15 +257,17 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     n_pairs = len(users_all)
 
     def snapshot():
-        return EmbeddingState(user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy(),
-                              d=state.d, L=state.L)
+        return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy())
 
-    def eval_report():
+    def eval_report(epoch):
         final = _propagate_raw(e0, adj, state.L)
-        return evaluate(final[:nu], final[nu:], dataset)
+        try:
+            return evaluate(final[:nu], final[nu:], dataset)
+        except ValueError as exc:  # non-finite scores: training diverged
+            raise FloatingPointError(f"finetune epoch {epoch}: {exc}") from exc
 
     can_eval = len(dataset.test_keys) > 0
-    best_report = eval_report() if can_eval else None
+    best_report = eval_report(0) if can_eval else None
     best_state = snapshot()
     best_epoch = 0
     history = [(0, None, best_report.ndcg_at[10] if can_eval else None)]
@@ -289,7 +289,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         ndcg = None
         if can_eval and (epoch % train_config.eval_every == 0
                          or epoch == train_config.finetune_epochs):
-            report = eval_report()
+            report = eval_report(epoch)
             ndcg = report.ndcg_at[10]
             if ndcg > best_report.ndcg_at[10]:
                 best_report, best_state, best_epoch = report, snapshot(), epoch

@@ -20,16 +20,20 @@ from sclrec.train import TrainConfig
 from oracles import save_similarity_reference
 
 
-@pytest.fixture
-def data_file(tmp_path):
+def write_fixture_data(path):
+    """12 users holding 6 of 15 items each."""
     rng = np.random.default_rng(0)
-    path = tmp_path / "u.data"
     lines = []
     for u in range(1, 13):
         for i in rng.choice(np.arange(1, 16), size=6, replace=False):
             lines.append(f"{u}\t{i}\t{int(rng.integers(1, 6))}\t0\n")
     path.write_text("".join(lines))
     return path
+
+
+@pytest.fixture
+def data_file(tmp_path):
+    return write_fixture_data(tmp_path / "u.data")
 
 
 def write_config(tmp_path, data_file, **overrides):
@@ -247,33 +251,40 @@ def cli_process(cfg, env=os.environ):
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-# the stage and epoch where lr = 1e30 first meets a non-finite gradient
-NON_FINITE = [("lightgcn", "finetune", 1), ("sgl", "pretrain", 2), ("scl-nr", "pretrain", 2)]
+GRADIENT = "non-finite gradient for parameter 'emb'"
+SCORES = "non-finite scores: embeddings hold NaN or inf"
+# where lr = 1e30 first meets a non-finite value: the next batch's gradient after one Adam
+# step overflows the embeddings or, with one batch per epoch, the next evaluation's scores
+NON_FINITE = {
+    "lightgcn-finetune": ("lightgcn", {}, f"finetune epoch 1: {GRADIENT}"),
+    "sgl-pretrain": ("sgl", {}, f"pretrain epoch 2: {GRADIENT}"),
+    "scl-nr-pretrain": ("scl-nr", {}, f"pretrain epoch 2: {GRADIENT}"),
+    "lightgcn-evaluate": ("lightgcn", {"batch_size": 1024}, f"finetune epoch 1: {SCORES}"),
+    "sgl-evaluate": ("sgl", {"batch_size": 1024, "pretrain_epochs": 1}, f"finetune epoch 0: {SCORES}"),
+    "scl-nr-evaluate": ("scl-nr", {"batch_size": 1024, "pretrain_epochs": 1},
+                        f"finetune epoch 0: {SCORES}"),
+}
 
 
-@pytest.mark.parametrize("method, stage, epoch", NON_FINITE,
-                         ids=[f"{method}-{stage}" for method, stage, _ in NON_FINITE])
+@pytest.mark.parametrize("method, settings, message", NON_FINITE.values(), ids=NON_FINITE)
 def test_run_non_finite_gradient_one_error_line_exit_1(tmp_path, data_file, capsys,
-                                                        method, stage, epoch):
-    # lr = 1e30 overflows the embeddings after one Adam step; the next batch's
-    # gradient is not finite
-    cfg = write_config(tmp_path, data_file, method=method, lr="1e30")
+                                                        method, settings, message):
+    cfg = write_config(tmp_path, data_file, method=method, lr="1e30", **settings)
     with np.errstate(all="ignore"):
         assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: {stage} epoch {epoch}: non-finite gradient for parameter 'emb'"]
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
     assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out" / "similarity.sclsim").exists()  # written with the others
 
 
-@pytest.mark.parametrize("method, stage, epoch", NON_FINITE,
-                         ids=[f"{method}-{stage}" for method, stage, _ in NON_FINITE])
-def test_run_non_finite_gradient_stderr_is_one_line(tmp_path, data_file, method, stage, epoch):
-    cfg = write_config(tmp_path, data_file, method=method, lr="1e30")
+@pytest.mark.parametrize("method, settings, message", NON_FINITE.values(), ids=NON_FINITE)
+def test_run_non_finite_gradient_stderr_is_one_line(tmp_path, data_file, method, settings, message):
+    cfg = write_config(tmp_path, data_file, method=method, lr="1e30", **settings)
     proc = cli_process(cfg)
     assert proc.returncode == 1
-    assert proc.stderr == f"error: {stage} epoch {epoch}: non-finite gradient for parameter 'emb'\n"
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("method", ["sgl", "scl-nr"])
