@@ -8,7 +8,8 @@ import sys
 
 from sclrec import scl_threads
 
-try:  # BLAS thread caps must land before numpy loads
+try:  # BLAS settings must land before numpy loads: thread caps, and idle workers that sleep, not spin
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     if _threads := scl_threads(os.environ.get("SCL_THREADS")):
         for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(_var, str(_threads))
@@ -158,6 +159,7 @@ def cmd_run(config: RunConfig) -> int:
     except FloatingPointError as exc:  # the check names its stage and epoch
         return fail(exc)
 
+    (out / "similarity.sclsim").unlink(missing_ok=True)  # another run's index must not outlive it
     if sim_index is not None:
         save_similarity(sim_index, out / "similarity.sclsim")
     save_checkpoint(out / "checkpoint.sclckpt", state, head)

@@ -83,25 +83,39 @@ def init_head(d: int, d_h: int, d_p: int, seed: int, dtype=np.float64) -> Projec
     )
 
 
-def spmm(adj, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """adj @ e for a CSR adj; adds adj @ e into `out` (C-contiguous) when given. _THREADS threads
-    each add an nnz-balanced block of rows entry by entry in CSR order: adj @ e's bytes, np.add.at's."""
+def row_blocks(block, m: int, indptr=None) -> None:
+    """block(a, b) over _THREADS blocks of rows 0..m, equal in a CSR indptr's nnz, else in rows, all
+    but the first on the pool. A block is a nested function named `block`, so no traced function runs
+    on a worker, and never submits to the pool, where a lone worker would wait on itself."""
+    p = np.arange(m + 1) if indptr is None else indptr
+    cuts = [0, *np.searchsorted(p, np.arange(1, _THREADS) * (p[-1] / _THREADS)).tolist(), m]
+    rest = _POOL.map(block, cuts[1:-1], cuts[2:]) if _THREADS > 1 else ()
+    block(cuts[0], cuts[1])
+    list(rest)  # waits for the other blocks and raises their errors
+
+
+def _kernel(adj, e: np.ndarray, out: np.ndarray | None = None):
+    """(block, out), checked as the kernel is not: block(a, b) adds adj[a:b] @ e into out[a:b]
+    (zeros when None) entry by entry in CSR order, as adj @ e and np.add.at do."""
     (m, n), k = adj.shape, e.shape[-1]
     if e.ndim != 2 or e.shape[0] != n:
         raise ValueError(f"matmul: dimension mismatch with signature (n,k={n}),(k={e.shape[0]},m)->(n,m)")
     dtype = np.result_type(adj.dtype, e.dtype)
     out = np.zeros((m, k), dtype) if out is None else out
     if adj.format != "csr" or dtype not in (np.float32, np.float64) or out.shape != (m, k) \
-            or out.dtype != dtype or not out.flags.c_contiguous:  # the kernel checks none of this
+            or out.dtype != dtype or not out.flags.c_contiguous:
         raise ValueError(f"spmm needs float32/float64 CSR @ dense into a C-contiguous {dtype} {(m, k)} "
                          f"out, got {adj.format} {adj.dtype} @ {e.dtype} into {out.dtype} {out.shape}")
     x, p = np.ascontiguousarray(e).ravel(), adj.indptr
-    cuts = [0, *np.searchsorted(p, np.arange(1, _THREADS) * (adj.nnz / _THREADS)).tolist(), m]
-    def block(a, b):  # out[a:b] += adj[a:b] @ e; the indptr slice keeps adj's offsets
+    def block(a, b):  # the indptr slice keeps adj's offsets
         _sparsetools.csr_matvecs(b - a, n, k, p[a:b + 1], adj.indices, adj.data, x, out[a:b].ravel())
-    rest = _POOL.map(block, cuts[1:-1], cuts[2:]) if _THREADS > 1 else ()
-    block(cuts[0], cuts[1])
-    list(rest)  # waits for the other blocks and raises their errors
+    return block, out
+
+
+def spmm(adj, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """adj @ e for a CSR adj, or added into a C-contiguous `out`, on row_blocks of equal nnz."""
+    block, out = _kernel(adj, e, out)
+    row_blocks(block, adj.shape[0], adj.indptr)
     return out
 
 
@@ -114,6 +128,18 @@ def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None) -> np.ndarray:
     With rows, the full result's `rows`, bit for bit: the last layer runs adj[rows] only."""
     acc = e0.copy() if rows is None else e0[rows]
     e = e0
+    if side is None and rows is None and L:  # a block zeroes, fills, adds and scales its own rows
+        layers = np.empty((2, *e0.shape), np.result_type(adj.dtype, e0.dtype))
+        for layer in range(1, L + 1):  # one call each: layer l + 1 reads every row of layer l
+            kernel, e = _kernel(adj, e, layers[layer % 2])
+            def block(a, b):
+                e[a:b] = 0
+                kernel(a, b)
+                acc[a:b] += e[a:b]
+                if layer == L:
+                    acc[a:b] /= L + 1
+            row_blocks(block, adj.shape[0], adj.indptr)
+        return acc
     if side is not None:  # E^(l) lives on halves[l % 2]; blocks[l % 2] maps onto it
         halves = (side, (0, side[0]) if side[0] else (side[1], adj.shape[0]))
         p = adj.indptr  # row blocks that share adj's arrays, where adj[a:b] copies them

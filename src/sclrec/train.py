@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from sclrec.augment import make_views
 from sclrec.dataset import in_sorted
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, project_backward,
-                        project_forward, spmm)
+                        project_forward, row_blocks, spmm)
 from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
 from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
 from sclrec.metrics import evaluate
@@ -60,34 +60,36 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
-    """Standard Adam update with bias correction; params updated in place.
+    """Standard Adam update with bias correction; params updated in place, or
+    none of them when a gradient is not finite.
 
-    The update p -= lr * m_hat / (sqrt(v_hat) + eps) is evaluated one
-    operation at a time, in that order, into the state's work buffers."""
-    state.step += 1
-    t = state.step
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
+    The update p -= lr * m_hat / (sqrt(v_hat) + eps) is evaluated one operation at
+    a time, in that order, into the state's work buffers, on gcn's row blocks."""
+    for name in params:
+        if not np.isfinite(grads[name]).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        step, denom = state.buffers[name]
-        m *= b1
-        np.multiply(g, 1 - b1, out=step)
-        m += step
-        v *= b2
-        np.multiply(g, 1 - b2, out=step)
-        step *= g
-        v += step
-        np.divide(m, 1 - b1 ** t, out=step)
-        step *= config.lr
-        np.divide(v, 1 - b2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        p -= step
+    state.step += 1
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
+    for name, p in params.items():
+        arrays = [np.atleast_1d(x) for x in (p, grads[name], state.m[name], state.v[name],
+                                             *state.buffers[name])]  # of a 0-d array, a 1-row view
+        def block(a, b):
+            p, g, m, v, step, denom = (x[a:b] for x in arrays)
+            m *= b1
+            np.multiply(g, 1 - b1, out=step)
+            m += step
+            v *= b2
+            np.multiply(g, 1 - b2, out=step)
+            step *= g
+            v += step
+            np.divide(m, 1 - b1 ** t, out=step)
+            step *= config.lr
+            np.divide(v, 1 - b2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            p -= step
+        row_blocks(block, len(arrays[0]))
 
 
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
@@ -214,8 +216,15 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
     # batch terms into its out row in batch order, as np.add.at does.
     scatter = sp.csr_matrix((np.ones(3 * nb, e0.dtype), (rows, np.arange(3 * nb))),
                             shape=(len(e0), 3 * nb))
-    terms = np.concatenate([g_pos * fi + g_neg * fj, g_pos * fu, g_neg * fu])
-    grad_e0 = _propagate_raw(spmm(scatter, terms), adj, L)
+    terms = np.empty((3, nb, e0.shape[1]), e0.dtype)
+    def block(a, b):  # each product rounded, then added, as in g_pos * fi + g_neg * fj
+        np.multiply(g_neg[a:b], fj[a:b], out=terms[2, a:b])
+        np.multiply(g_pos[a:b], fi[a:b], out=terms[0, a:b])
+        terms[0, a:b] += terms[2, a:b]
+        np.multiply(g_pos[a:b], fu[a:b], out=terms[1, a:b])
+        np.multiply(g_neg[a:b], fu[a:b], out=terms[2, a:b])
+    row_blocks(block, nb)
+    grad_e0 = _propagate_raw(spmm(scatter, terms.reshape(3 * nb, -1)), adj, L)
     spmm(scatter, np.multiply(e, 2.0 * lambda_l2 / nb, out=e), out=grad_e0)  # e is a gathered copy
     return loss / nb, grad_e0
 

@@ -1,9 +1,12 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sclrec import gcn
 from sclrec.augment import Neighbors, SimilarityIndex
 from sclrec.dataset import InteractionDataset, build_graph
 
@@ -46,6 +49,20 @@ def ml100k_path():
 ML100K_MISSING = ("MovieLens-100K u.data not found. This environment has no "
                   "network access to fetch it; place the file at data/ml-100k/u.data "
                   "or set SCLREC_ML100K to run this check.")
+
+
+POOLS = {n: ThreadPoolExecutor(n - 1) if n > 1 else None for n in (1, 2, 3, 4)}
+
+
+@contextmanager
+def blocks_of(n):
+    """gcn.row_blocks splits its rows into n blocks, n - 1 of them on worker threads."""
+    saved = gcn._THREADS, gcn._POOL
+    gcn._THREADS, gcn._POOL = n, POOLS[n]
+    try:
+        yield
+    finally:
+        gcn._THREADS, gcn._POOL = saved
 
 
 @pytest.fixture

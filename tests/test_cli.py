@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import sclrec
-from sclrec import scl_threads
-from sclrec.augment import AugmentationConfig, compute_similarity
+from sclrec import cli, scl_threads
+from sclrec.augment import AugmentationConfig, compute_similarity, save_similarity
 from sclrec.cli import (ConfigError, RunConfig, cmd_compare, config_hash,
                         emit_config, main, parse_config)
 from sclrec.dataset import load_ml100k, split_train_test
@@ -116,6 +116,20 @@ def test_run_lightgcn_artifacts(tmp_path, data_file, capsys):
     captured = capsys.readouterr().out
     assert "users=12" in captured
     assert "stage=finetune epoch=1" in captured
+
+
+def test_a_run_without_an_index_removes_an_earlier_runs_index(tmp_path, data_file, monkeypatch):
+    # one out_dir, an scl-nr run, then a lightgcn run: the directory holds only the second's files
+    saved = []
+    monkeypatch.setattr(cli, "save_similarity", lambda index, path: saved.append(path) or
+                        save_similarity(index, path))
+    assert main(["run", "--config", str(write_config(tmp_path, data_file, method="scl-nr"))]) == 0
+    out = tmp_path / "out"
+    assert saved == [out / "similarity.sclsim"] and saved[0].is_file()
+    assert main(["run", "--config", str(write_config(tmp_path, data_file))]) == 0
+    assert len(saved) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.sclckpt", "manifest.txt",
+                                                     "report.csv", "train.log"]
 
 
 def test_run_scl_nr_produces_similarity_cache(tmp_path, data_file):
@@ -414,7 +428,8 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-# Records the BLAS thread variables when numpy is first imported.
+TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+# Records the BLAS thread variables and the idle-worker timeout when numpy is first imported.
 NUMPY_IMPORT_HOOK = f"""
 import json, os, sys
 from pathlib import Path
@@ -423,7 +438,7 @@ class RecordAtNumpyImport:
     def find_spec(self, name, path=None, target=None):
         record = Path(__file__).with_name("env.json")
         if name == "numpy" and not record.exists():
-            record.write_text(json.dumps({{v: os.environ.get(v) for v in {THREAD_VARS!r}}}))
+            record.write_text(json.dumps({{v: os.environ.get(v) for v in {THREAD_VARS + (TIMEOUT,)!r}}}))
         return None
 
 sys.meta_path.insert(0, RecordAtNumpyImport())
@@ -433,14 +448,18 @@ sys.meta_path.insert(0, RecordAtNumpyImport())
 def test_scl_threads_is_set_before_numpy_loads(tmp_path):
     src = Path(sclrec.__file__).resolve().parents[1]
     (tmp_path / "sitecustomize.py").write_text(NUMPY_IMPORT_HOOK)
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + (TIMEOUT,)}
     env["SCL_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tmp_path), str(src), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "env.json").read_text()) == dict.fromkeys(THREAD_VARS, "1")
+    # an idle OpenBLAS worker sleeps at once by default; a timeout the user set is kept
+    for timeout, want in ((None, "4"), ("9", "9")):
+        (tmp_path / "env.json").unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "sclrec.cli", "--help"], capture_output=True,
+                              text=True, env={**env, TIMEOUT: timeout} if timeout else env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "env.json").read_text()) == {
+            **dict.fromkeys(THREAD_VARS, "1"), TIMEOUT: want}
     # the package itself imports nothing numeric, so a library user's own caps still apply
     probe = "import sys, sclrec; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe],

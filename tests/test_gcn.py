@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from sclrec.gcn import (EmbeddingState, ProjectionHead, init_embeddings, init_he
                         layer_mean, load_checkpoint, project_backward, project_forward,
                         propagate, propagate_backward, save_checkpoint, spmm)
 
-from conftest import random_bipartite
+from conftest import POOLS, blocks_of, random_bipartite
 
 
 def dense_propagate(e0, adj_dense, L):
@@ -263,20 +262,6 @@ def test_layer_mean_rows_is_bit_identical_to_full(L):
             assert np.array_equal(e0, before)
 
 
-POOLS = {n: ThreadPoolExecutor(n - 1) if n > 1 else None for n in (1, 2, 3, 4)}
-
-
-@contextmanager
-def blocks_of(n):
-    """spmm splits its rows into n blocks, n - 1 of them on worker threads."""
-    saved = gcn._THREADS, gcn._POOL
-    gcn._THREADS, gcn._POOL = n, POOLS[n]
-    try:
-        yield
-    finally:
-        gcn._THREADS, gcn._POOL = saved
-
-
 def assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
@@ -337,6 +322,38 @@ def test_spmm_is_bit_identical_to_scipy_at_1_to_4_blocks(case, scatter_case):
             out = base.copy()
             assert spmm(scatter, terms, out=out) is out
             assert_same_bytes(out, scattered)
+
+
+@st.composite
+def square_csr_and_e0(draw):
+    """A square CSR with empty rows, from 0 rows (fewer than the blocks) up, and its layer-0 e0."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    m, k = draw(st.integers(0, 12)), draw(st.integers(1, 5))
+    values = draw(hnp.arrays(dtype, (m, m), elements=st.floats(-1, 1, width=32)))
+    mask = draw(hnp.arrays(np.bool_, (m, m)))
+    mask[draw(hnp.arrays(np.bool_, m))] = False
+    adj = sp.csr_matrix(np.where(mask, values, 0).astype(dtype))
+    e0 = draw(hnp.arrays(dtype, (m, k), elements=st.floats(-2, 2, width=32)))
+    return adj, np.asfortranarray(e0) if draw(st.booleans()) else e0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(square_csr_and_e0())
+def test_layer_mean_row_blocks_are_bit_identical_to_scipy_layer_by_layer(case):
+    # each block zeroes, fills, adds and scales its own rows: the bytes of adj @ e per layer,
+    # summed and divided on whole arrays
+    adj, e0 = case
+    before = e0.copy()
+    for L in (0, 1, 3):
+        want, e = e0.copy(), e0
+        for _ in range(L):
+            e = adj @ e
+            want += e
+        want /= L + 1
+        for n in POOLS:
+            with blocks_of(n):
+                assert_same_bytes(layer_mean(e0, adj, L), want)
+    assert_same_bytes(e0, before)
 
 
 @pytest.mark.parametrize("n", list(POOLS))
@@ -402,6 +419,25 @@ def test_spmm_from_more_callers_than_cores_shares_the_pool():
     try:
         with blocks_of(3), ThreadPoolExecutor(6) as callers:
             jobs = [callers.submit(spmm, adj, es[i % 8]) for i in range(64)]
+            for i, job in enumerate(jobs):
+                assert_same_bytes(job.result(timeout=60), wants[i % 8])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_layer_mean_from_more_callers_than_cores_shares_the_pool():
+    # each call's blocks write only its own layers and sum; a block that ran on another
+    # call's buffers, or a layer that started before the last one ended, would change bytes
+    rng = np.random.default_rng(6)
+    adj = sp.random(300, 300, density=0.05, format="csr", dtype=np.float32, random_state=rng)
+    es = [rng.normal(size=(300, 6)).astype(np.float32) for _ in range(8)]
+    with blocks_of(1):
+        wants = [layer_mean(e, adj, 3) for e in es]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blocks_of(3), ThreadPoolExecutor(6) as callers:
+            jobs = [callers.submit(layer_mean, es[i % 8], adj, 3) for i in range(64)]
             for i, job in enumerate(jobs):
                 assert_same_bytes(job.result(timeout=60), wants[i % 8])
     finally:

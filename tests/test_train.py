@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.dataset import build_graph
@@ -9,7 +12,7 @@ from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConf
                           adam_step, bpr_loss_and_grads, contrastive_loss_and_grads,
                           finetune, pretrain)
 
-from conftest import dataset_from_pairs, similarity_from_tuples
+from conftest import POOLS, blocks_of, dataset_from_pairs, similarity_from_tuples
 
 
 def toy_dataset(num_users=8, num_items=10, seed=0, with_test=True):
@@ -63,6 +66,79 @@ def test_adam_nonfinite_gradient():
     p = {"emb": np.zeros(2)}
     with pytest.raises(FloatingPointError, match="emb"):
         adam_step(p, {"emb": np.array([np.nan, 0.0])}, AdamState(p), TrainConfig())
+
+
+def test_adam_nonfinite_gradient_changes_nothing():
+    # the bad gradient is the second parameter's: the first keeps its value and moments too
+    p = {"a": np.ones((3, 2)), "b": np.zeros(2)}
+    st = AdamState(p)
+    adam_step(p, {"a": np.full((3, 2), 0.5), "b": np.ones(2)}, st, TrainConfig())
+    before = [p["a"].copy(), p["b"].copy(), st.m["a"].copy(), st.v["a"].copy(), st.m["b"].copy()]
+    with pytest.raises(FloatingPointError, match="'b'"):
+        adam_step(p, {"a": np.ones((3, 2)), "b": np.array([np.nan, 0.0])}, st, TrainConfig())
+    after = [p["a"], p["b"], st.m["a"], st.v["a"], st.m["b"]]
+    assert st.step == 1 and all(np.array_equal(x, y) for x, y in zip(after, before))
+
+
+def adam_reference(params, grads, state, lr):
+    """adam_step on whole arrays, one operation at a time in its order."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += g * (1 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v += g * (1 - ADAM_BETA2) * g
+        p -= m / (1 - ADAM_BETA1 ** t) * lr / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS)
+
+
+@st.composite
+def adam_problem(draw):
+    """0-d, 1-D and 2-D parameters (some with fewer rows than blocks) and three gradients."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shapes = draw(st.lists(st.sampled_from([(), (0,), (1,), (2,), (7,), (3, 2), (9, 4)]),
+                           min_size=1, max_size=4))
+    floats = st.floats(-10, 10, width=32)
+    params = {f"p{i}": draw(hnp.arrays(dtype, s, elements=floats)) for i, s in enumerate(shapes)}
+    grads = [{k: draw(hnp.arrays(dtype, v.shape, elements=floats)) for k, v in params.items()}
+             for _ in range(3)]
+    return params, grads
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(adam_problem())
+def test_adam_step_row_blocks_are_bit_identical_to_whole_arrays(problem):
+    params, grads = problem
+    want = {k: v.copy() for k, v in params.items()}
+    ref = AdamState(want)
+    for g in grads:
+        adam_reference(want, g, ref, 0.01)
+    for n in POOLS:
+        got = {k: v.copy() for k, v in params.items()}
+        state = AdamState(got)
+        with blocks_of(n):
+            for g in grads:
+                adam_step(got, g, state, TrainConfig(lr=0.01))
+        assert state.step == 3
+        for k in params:
+            for x, y in ((got[k], want[k]), (state.m[k], ref.m[k]), (state.v[k], ref.v[k])):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_finetune_is_bit_identical_at_1_to_4_blocks(dtype):
+    # without test pairs the returned state is the last epoch's e0
+    ds = toy_dataset(num_users=40, num_items=30, seed=21, with_test=False)
+    state = init_embeddings(ds.num_users, ds.num_items, 6, seed=2)
+    cfg = small_train_config(finetune_epochs=2, batch_size=16, dtype=dtype)
+    finals = set()
+    for n in POOLS:
+        with blocks_of(n):
+            out, _, _ = finetune(ds, state, LossConfig(), cfg, log_fn=lambda line: None)
+        assert out.user_emb.dtype == np.dtype(dtype)
+        finals.add(out.stacked().tobytes())
+    assert len(finals) == 1
 
 
 @pytest.mark.parametrize("field", ["pretrain_epochs", "finetune_epochs"])
