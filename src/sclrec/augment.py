@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph, build_graph, in_sorted, key_pairs
+from sclrec.gcn import row_blocks
 from sclrec.metrics import top_k
 
 SIM_MAGIC = b"SCLSIM1\0"
@@ -98,16 +99,23 @@ def _top_n_neighbors(counts: np.ndarray, deg: np.ndarray, top_n: int) -> Neighbo
     """Top-N cosine neighbors per row of an n x n co-occurrence count matrix; self excluded.
 
     cosine(a, b) = |N(a) ∩ N(b)| / (sqrt(deg a) * sqrt(deg b)); degree-0 rows
-    list no one and score 0 against everyone else.
+    list no one and score 0 against everyone else. Scored and ranked 64 rows at a time
+    in gcn's row blocks; top_k is row-local, so the chunks change no byte.
     """
     n = len(deg)
+    k = min(top_n, n - 1)
     inv = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
-    scores = counts * inv[:, None]  # float64; rows, then columns, for the scores' bits
-    scores *= inv[None, :]
-    np.fill_diagonal(scores, -np.inf)  # self excluded
-    top = top_k(scores, min(top_n, n - 1))
-    return Neighbors(ids=top, scores=np.take_along_axis(scores, top, axis=1),
-                     counts=np.where(deg > 0, top.shape[1], 0))
+    ids, scores = np.empty((n, k), np.int64), np.empty((n, k))
+    def block(a, b):
+        for c in range(a, b, 64):
+            d = min(c + 64, b)
+            s = counts[c:d] * inv[c:d, None]  # float64; rows, then columns, for the scores' bits
+            s *= inv[None, :]
+            np.fill_diagonal(s[:, c:d], -np.inf)  # self excluded
+            ids[c:d] = top_k(s, k)
+            scores[c:d] = np.take_along_axis(s, ids[c:d], axis=1)
+    row_blocks(block, n)
+    return Neighbors(ids=ids, scores=scores, counts=np.where(deg > 0, k, 0))
 
 
 def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:

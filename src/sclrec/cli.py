@@ -159,16 +159,19 @@ def cmd_run(config: RunConfig) -> int:
     except FloatingPointError as exc:  # the check names its stage and epoch
         return fail(exc)
 
-    (out / "similarity.sclsim").unlink(missing_ok=True)  # another run's index must not outlive it
-    if sim_index is not None:
-        save_similarity(sim_index, out / "similarity.sclsim")
-    save_checkpoint(out / "checkpoint.sclckpt", state, head)
     csv_text = report.csv_header() + "\n" + report.csv_row(config.method) + "\n"
-    (out / "report.csv").write_text(csv_text)
-    (out / "train.log").write_text("".join(line + "\n" for line in log_lines))
-    (out / "manifest.txt").write_text(
-        f"config_hash={config_hash(config)}\nseed={config.seed}\n"
-        f"build=sclrec-{sclrec_version()}\n")
+    try:  # a directory in an artifact's place, no permission, a full disk
+        (out / "similarity.sclsim").unlink(missing_ok=True)  # another run's index must not outlive it
+        if sim_index is not None:
+            save_similarity(sim_index, out / "similarity.sclsim")
+        save_checkpoint(out / "checkpoint.sclckpt", state, head)
+        (out / "report.csv").write_text(csv_text)
+        (out / "train.log").write_text("".join(line + "\n" for line in log_lines))
+        (out / "manifest.txt").write_text(
+            f"config_hash={config_hash(config)}\nseed={config.seed}\n"
+            f"build=sclrec-{sclrec_version()}\n")
+    except OSError as exc:
+        return fail(f"{exc.filename or out}: {exc.strerror or exc}")
     print(csv_text, end="")
     return 0
 

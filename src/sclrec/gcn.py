@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from sclrec import scl_threads
@@ -123,39 +122,29 @@ def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None) -> np.ndarray:
     """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
     layers 0..L, each product an spmm of the CSR adj; e0 is not modified. With
     side=(start, stop), e0 must be zero outside those rows (one side of the
-    bipartite graph); each layer then multiplies only the half
-    block of adj that maps the current side to the other, with the full call's result.
-    With rows, the full result's `rows`, bit for bit: the last layer runs adj[rows] only."""
-    acc = e0.copy() if rows is None else e0[rows]
-    e = e0
-    if side is None and rows is None and L:  # a block zeroes, fills, adds and scales its own rows
-        layers = np.empty((2, *e0.shape), np.result_type(adj.dtype, e0.dtype))
-        for layer in range(1, L + 1):  # one call each: layer l + 1 reads every row of layer l
-            kernel, e = _kernel(adj, e, layers[layer % 2])
-            def block(a, b):
-                e[a:b] = 0
-                kernel(a, b)
-                acc[a:b] += e[a:b]
-                if layer == L:
-                    acc[a:b] /= L + 1
-            row_blocks(block, adj.shape[0], adj.indptr)
-        return acc
-    if side is not None:  # E^(l) lives on halves[l % 2]; blocks[l % 2] maps onto it
-        halves = (side, (0, side[0]) if side[0] else (side[1], adj.shape[0]))
-        p = adj.indptr  # row blocks that share adj's arrays, where adj[a:b] copies them
-        blocks = [sp.csr_matrix((adj.data[p[a]:p[b]], adj.indices[p[a]:p[b]], p[a:b + 1] - p[a]),
-                                shape=(b - a, adj.shape[1]), copy=False) for a, b in halves]
-    for layer in range(1, L + 1):
-        if side is not None:
-            e_next = np.zeros(e0.shape, np.result_type(adj.dtype, e.dtype))
-            spmm(blocks[layer % 2], e, out=e_next[slice(*halves[layer % 2])])
-            e = e_next
-        elif rows is not None and layer == L:
-            e = spmm(adj[rows], e)
-        else:
-            e = spmm(adj, e)
-        acc += e if rows is None or layer == L else e[rows]
-    acc /= L + 1
+    bipartite graph); each layer then runs the kernel only on the rows of the side it
+    maps onto, with the full call's result. With rows, the full result's `rows`, bit for
+    bit: the last layer runs adj[rows] only. Each other layer is one row_blocks pass."""
+    (n, p), acc, e = (adj.shape[0], adj.indptr), e0.copy(), e0
+    halves = ((0, n), (0, n)) if side is None else (side, (0, side[0]) if side[0] else (side[1], n))
+    layers = np.empty((2, *e0.shape), np.result_type(adj.dtype, e0.dtype))
+    for layer in range(1, L + 1 - (rows is not None)):  # layer l + 1 reads every row of layer l
+        kernel, e = _kernel(adj, e, layers[layer % 2])
+        lo, hi = halves[layer % 2]  # E^(l)'s nonzero rows, where the kernel runs
+        def block(a, b):  # zeroes, fills, adds (zero rows too, for their signs) and scales its rows
+            e[a:b] = 0
+            if max(a, lo) < min(b, hi):
+                kernel(max(a, lo), min(b, hi))
+            acc[a:b] += e[a:b]
+            if layer == L:
+                acc[a:b] /= L + 1
+        row_blocks(block, n, p if side is None else np.clip(p - p[lo], 0, p[hi] - p[lo]))  # lo:hi's nnz
+    if rows is not None:  # the last layer's product for the asked rows only
+        acc = acc[rows]
+        if L:
+            acc += spmm(adj[rows], e)
+    if rows is not None or not L:  # else the last layer's blocks scaled their rows
+        acc /= L + 1
     return acc
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from sclrec.gcn import row_blocks
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -87,12 +89,16 @@ def _normalize_rows(z: np.ndarray):
 
 
 def _cosine_backward(grad_s: np.ndarray, z_hat: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Chain dL/dS (S = Z_hat Z_hat^T), symmetrised in place, back to the raw rows."""
-    for r, c in _block_pairs(len(grad_s)):
-        blk = grad_s[r, c]
-        blk += grad_s[c, r].T  # on the diagonal numpy buffers the overlapping operand
-        if r != c:
-            grad_s[c, r] = blk.T
+    """Chain dL/dS (S = Z_hat Z_hat^T), symmetrised in place, back to the raw rows.
+    Each block pair writes only its own two blocks, so row_blocks splits the pairs."""
+    pairs = _block_pairs(len(grad_s))
+    def block(a, b):
+        for r, c in pairs[a:b]:
+            blk = grad_s[r, c]
+            blk += grad_s[c, r].T  # on the diagonal numpy buffers the overlapping operand
+            if r != c:
+                grad_s[c, r] = blk.T
+    row_blocks(block, len(pairs))
     grad_hat = grad_s @ z_hat
     radial = (grad_hat * z_hat).sum(axis=1, keepdims=True)
     return (grad_hat - radial * z_hat) / norms[:, None]
@@ -117,7 +123,8 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
     printed form; the loss can go negative). denominator="all" uses every
     k != i instead. Returns (loss, grad_z) in z's float dtype (float64 for
     integer z). Holds one n x n array, padded to n + 8 columns: the scaled
-    cosines become the softmax, dL/dS and its symmetrisation in place."""
+    cosines become the softmax, dL/dS and its symmetrisation in place, each row's
+    passes in chunks of 128 rows in gcn's row blocks, the Gram on the calling thread."""
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.result_type(batch.z, np.float32))
@@ -130,26 +137,31 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
     buf = np.empty((n, n + 8), dtype=z.dtype)  # off a power-of-two row stride: ~2x faster
-    buf[:, n:] = -np.inf  # whole-buffer passes keep it -inf, and exp(-inf) = 0
+    buf[:, n:] = -np.inf  # whole-row passes keep it -inf, and exp(-inf) = 0
     s = np.matmul(z_hat, z_hat.T, out=buf[:, :n])
-    buf /= tau
-    starts = np.searchsorted(rows, np.arange(n))
-    s_pos = s[rows, cols]
-    m_pos = np.maximum.reduceat(s_pos, starts)
-    ex_pos = np.exp(s_pos - m_pos[rows])
-    total_pos = np.add.reduceat(ex_pos, starts)
-    if denominator == "negatives":
-        s[rows, cols] = -np.inf
-    np.fill_diagonal(s, -np.inf)
-    # the denominator's own max: a row total minus the positives can cancel to 0 at small tau
-    m = s.max(axis=1, keepdims=True)
-    buf -= m
-    np.exp(buf, out=buf)
-    total = s.sum(axis=1, keepdims=True)
-    buf /= total  # softmax over the denominator
-    lse_pos = m_pos + np.log(total_pos)
-    lse_neg = (m + np.log(total)).ravel()
-    loss = float((lse_neg - lse_pos).mean())
-    s[rows, cols] -= ex_pos / total_pos[rows]
-    buf /= n * tau
+    starts = np.searchsorted(rows, np.arange(n + 1))  # row a's positives: starts[a]:starts[a + 1]
+    m_pos, total_pos, m, total = (np.empty(n, z.dtype) for _ in range(4))
+    def block(a, b):
+        for c in range(a, b, 128):
+            d = min(c + 128, b)
+            chunk, i, j = buf[c:d], starts[c], starts[d]
+            sc, r, k = chunk[:, :n], rows[i:j] - c, cols[i:j]
+            chunk /= tau
+            s_pos = sc[r, k]
+            m_pos[c:d] = np.maximum.reduceat(s_pos, starts[c:d] - i)
+            ex_pos = np.exp(s_pos - m_pos[c:d][r])
+            total_pos[c:d] = np.add.reduceat(ex_pos, starts[c:d] - i)
+            if denominator == "negatives":
+                sc[r, k] = -np.inf
+            np.fill_diagonal(sc[:, c:d], -np.inf)
+            # the denominator's own max: a row total minus the positives can cancel to 0 at small tau
+            np.max(sc, axis=1, out=m[c:d])
+            chunk -= m[c:d, None]
+            np.exp(chunk, out=chunk)
+            np.sum(sc, axis=1, out=total[c:d])
+            chunk /= total[c:d, None]  # softmax over the denominator
+            sc[r, k] -= ex_pos / total_pos[c:d][r]
+            chunk /= n * tau
+    row_blocks(block, n)
+    loss = float(((m + np.log(total)) - (m_pos + np.log(total_pos))).mean())
     return loss, _cosine_backward(s, z_hat, norms)

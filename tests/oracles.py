@@ -1,12 +1,14 @@
-"""Test-only oracles: the naive references the vectorised losses and
-ranking are checked against, and the per-pair `.sclsim` writer."""
+"""Test-only oracles: the naive references the vectorised losses, ranking,
+propagation and similarity index are checked against, and the per-pair
+`.sclsim` writer."""
 
 import struct
 
 import numpy as np
 
-from sclrec.augment import SIM_MAGIC
+from sclrec.augment import SIM_MAGIC, Neighbors
 from sclrec.loss import ContrastBatch
+from sclrec.metrics import top_k
 
 
 def rank_items(user_scores: np.ndarray, train_exclusions) -> np.ndarray:
@@ -64,3 +66,34 @@ def save_similarity_reference(index, path) -> None:
                 fh.write(struct.pack("<I", len(neighbors)))
                 for nid, score in neighbors:
                     fh.write(struct.pack("<If", nid, score))
+
+
+def layer_mean_reference(e0, adj, L, side=None, rows=None):
+    """`gcn.layer_mean` as whole-array scipy products: one full n x d layer per step,
+    one-sided layers zero outside the half they live on, `rows` taken at the end."""
+    acc = e0.copy()
+    e = e0
+    if side is not None:
+        halves = (slice(*side), slice(0, side[0]) if side[0] else slice(side[1], None))
+    for layer in range(1, L + 1):
+        if side is None:
+            e = adj @ e
+        else:
+            e_next = np.zeros_like(e0)
+            e_next[halves[layer % 2]] = adj[halves[layer % 2]] @ e
+            e = e_next
+        acc += e
+    acc /= L + 1
+    return acc if rows is None else acc[rows]
+
+
+def top_n_neighbors_reference(counts, deg, top_n):
+    """`augment._top_n_neighbors` on the whole n x n float64 score matrix at once."""
+    n = len(deg)
+    inv = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    scores = counts * inv[:, None]  # rows, then columns
+    scores *= inv[None, :]
+    np.fill_diagonal(scores, -np.inf)
+    top = top_k(scores, min(top_n, n - 1))
+    return Neighbors(ids=top, scores=np.take_along_axis(scores, top, axis=1),
+                     counts=np.where(deg > 0, top.shape[1], 0))

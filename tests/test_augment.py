@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sclrec.augment import (AugmentationConfig, compute_similarity, edge_drop,
+from sclrec.augment import (AugmentationConfig, _top_n_neighbors, compute_similarity, edge_drop,
                             node_drop, node_replication, save_similarity)
 from sclrec.dataset import build_graph
 
-from conftest import random_bipartite, similarity_from_tuples
-from oracles import save_similarity_reference
+from conftest import POOLS, blocks_of, random_bipartite, similarity_from_tuples
+from oracles import save_similarity_reference, top_n_neighbors_reference
 from test_train import similar_pairs_matrix_loop
 
 
@@ -145,6 +146,32 @@ def test_similarity_matches_dense_oracle():
             others = [b for b in range(nu) if b != a]
             expected = sorted(others, key=lambda b: (-ref[a, b], b))[: len(sim.user_neighbors[a])]
             assert [b for b, _ in sim.user_neighbors[a]] == expected
+
+
+@st.composite
+def binary_rows(draw):
+    """2-200 interaction rows over a few columns: empty rows, repeated rows and tied scores."""
+    n, m = draw(st.integers(2, 200)), draw(st.integers(1, 10))
+    x = draw(hnp.arrays(np.bool_, (n, m)))
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    for a, b in copies:
+        x[b] = x[a]
+    return x
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(binary_rows(), st.sampled_from([np.float32, np.float64]), st.integers(1, 210))
+def test_top_n_neighbors_row_chunks_match_the_whole_matrix(x, dtype, top_n):
+    # 64-row chunks cut by 1-4 blocks score, exclude self and rank as the n x n matrix does
+    x = x.astype(dtype)
+    counts, deg = x @ x.T, np.count_nonzero(x, axis=1)
+    want = top_n_neighbors_reference(counts, deg, top_n)
+    for blocks in POOLS:
+        with blocks_of(blocks):
+            got = _top_n_neighbors(counts, deg, top_n)
+        for name in ("ids", "scores", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_similarity_requires_two_per_side():

@@ -152,6 +152,18 @@ def test_run_out_dir_blocked_by_a_file_one_error_line_exit_1(tmp_path, data_file
     assert capsys.readouterr().err == f"error: {blocker}: File exists\n"
 
 
+@pytest.mark.parametrize("name", ["similarity.sclsim", "checkpoint.sclckpt", "report.csv",
+                                  "manifest.txt"])
+def test_run_artifact_blocked_by_a_directory_one_error_line_exit_1(tmp_path, data_file, capsys,
+                                                                   name):
+    # the stale-index unlink or an artifact's write fails: the path and the reason, no traceback
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_config(tmp_path, data_file, method="scl-nr")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {out / name}: Is a directory\n"
+
+
 def test_run_deterministic_reports(tmp_path, data_file):
     cfg = write_config(tmp_path, data_file, method="scl-ed")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -597,3 +609,55 @@ def test_threads_start_at_the_first_split_product_and_run_only_the_kernel(
                           env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == started
+
+
+# Runs scl-nr's similarity and one contrastive batch, and names the sclrec functions that ran on
+# the pool's workers and those of them that benchmarks/tracer.py wraps.
+SCL_THREAD_PROBE = """
+import importlib, json, sys, threading
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from tracer import TRACED
+from sclrec.augment import compute_similarity, edge_drop
+from sclrec.dataset import build_graph
+from sclrec.gcn import init_embeddings, init_head
+from sclrec.train import contrastive_loss_and_grads
+traced = {getattr(module, attr).__code__: f"{name}.{attr}" for name, attr in TRACED
+          if hasattr(module := importlib.import_module(f"sclrec.{name}"), attr)}
+on_workers = set()
+
+def profile(frame, event, arg):
+    if event == "call" and "sclrec" in frame.f_code.co_filename:
+        on_workers.add(frame.f_code)
+
+rng = np.random.default_rng(0)
+nu, ni = 150, 200
+graph = build_graph([(u, i) for u in range(nu) for i in rng.choice(ni, 8, replace=False)], nu, ni)
+threading.setprofile(profile)  # the pool's threads start at compute_similarity's first split
+sim = compute_similarity(graph, 5)
+e0 = init_embeddings(nu, ni, 16, seed=0).stacked()
+head = init_head(16, 16, 16, seed=1)
+head.b1[:] = 1.0  # every hidden unit live, so no projected row is zero
+adj1, adj2 = (edge_drop(graph, 0.2, rng).graph.norm_adj for _ in range(2))
+loss, _, _ = contrastive_loss_and_grads(e0, adj1, adj2, 3, head, rng.permutation(nu)[:100],
+                                        (0, nu), sim.users.pair_matrix(), 0.2)
+assert loss is not None
+print(json.dumps([sorted({code.co_name for code in on_workers}),
+                  sorted(traced[code] for code in on_workers if code in traced)]))
+"""
+
+
+def test_scl_nr_similarity_and_contrastive_batch_run_no_traced_function_on_a_worker(tmp_path):
+    # benchmarks/tracer.py's spans assume the main thread; the row-block passes of the
+    # similarity index, the contrastive loss and the one-sided layers stay inside `block`s
+    src = str(Path(sclrec.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(SCL_THREADS="2", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    proc = subprocess.run([sys.executable, "-c", SCL_THREAD_PROBE, str(benchmarks)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names, traced = json.loads(proc.stdout.splitlines()[-1])
+    assert "block" in names and traced == [], names

@@ -5,6 +5,8 @@ and the same gradient, bit for bit, at sizes on and off the 128-row blocks."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sclrec.train as train
 from sclrec.augment import edge_drop
@@ -13,7 +15,8 @@ from sclrec.gcn import init_head
 from sclrec.loss import ContrastBatch, _normalize_rows, info_nce, s_info_nce
 from sclrec.train import contrastive_loss_and_grads
 
-from conftest import similarity_from_tuples
+from conftest import POOLS, blocks_of, similarity_from_tuples
+from oracles import layer_mean_reference
 
 
 def cosine_backward_reference(grad_s, z_hat, norms):
@@ -27,7 +30,7 @@ def s_info_nce_reference(batch, tau, denominator="negatives"):
         batch = ContrastBatch(z=batch.z, positive_mask=batch.positive_mask.toarray())
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
-    z = np.asarray(batch.z, dtype=np.float64)
+    z = np.asarray(batch.z, dtype=np.result_type(batch.z, np.float32))  # as s_info_nce's
     n = z.shape[0]
     if not batch.positive_mask.any(axis=1).all():
         raise ValueError("every anchor needs at least one positive")
@@ -68,23 +71,6 @@ def info_nce_reference(z, tau):
     return s_info_nce_reference(ContrastBatch(z=z, positive_mask=pos), tau, "all")
 
 
-def layer_mean_reference(e0, adj, L, side=None, rows=None):
-    acc = e0.copy()
-    e = e0
-    if side is not None:
-        halves = (slice(*side), slice(0, side[0]) if side[0] else slice(side[1], None))
-    for layer in range(1, L + 1):
-        if side is None:
-            e = adj @ e
-        else:
-            e_next = np.zeros_like(e0)
-            e_next[halves[layer % 2]] = adj[halves[layer % 2]] @ e
-            e = e_next
-        acc += e
-    acc /= L + 1
-    return acc if rows is None else acc[rows]
-
-
 def coview_batch(n, seed):
     """n rows (n / 2 anchors, two views each, interleaved) with about ten
     similar anchors each, so every row keeps a negative once n > 2."""
@@ -116,6 +102,22 @@ SIZES = [2, 6, 130, 258, 1316, 2048]
 def test_s_info_nce_matches_out_of_place_algebra(n, denominator):
     batch = coview_batch(n, seed=n)
     assert_same(s_info_nce(batch, 0.2, denominator), s_info_nce_reference(batch, 0.2, denominator))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([2, 6, 130, 258, 1316]), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from(["negatives", "all"]), st.integers(0, 2**16), st.sampled_from([1.0, 0.2, 0.03]))
+def test_s_info_nce_row_chunks_are_bit_identical_at_1_to_4_blocks(n, dtype, denominator, seed, tau):
+    # fewer rows than a chunk, a partial last chunk, chunks cut by the blocks: each row's passes
+    # and each symmetrised block pair give the whole-array algebra's bytes, in z's dtype
+    batch = coview_batch(n, seed)
+    assume(denominator == "all" or batch.positive_mask.sum(axis=1).max() < n - 1)
+    batch = ContrastBatch(z=batch.z.astype(dtype), positive_mask=sp.csr_matrix(batch.positive_mask))
+    want = s_info_nce_reference(batch, tau, denominator)
+    assert want[1].dtype == dtype
+    for blocks in POOLS:
+        with blocks_of(blocks):
+            assert_same(s_info_nce(batch, tau, denominator), want)
 
 
 @pytest.mark.parametrize("n", SIZES)

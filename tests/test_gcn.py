@@ -18,6 +18,7 @@ from sclrec.gcn import (EmbeddingState, ProjectionHead, init_embeddings, init_he
                         propagate, propagate_backward, save_checkpoint, spmm)
 
 from conftest import POOLS, blocks_of, random_bipartite
+from oracles import layer_mean_reference
 
 
 def dense_propagate(e0, adj_dense, L):
@@ -354,6 +355,41 @@ def test_layer_mean_row_blocks_are_bit_identical_to_scipy_layer_by_layer(case):
             with blocks_of(n):
                 assert_same_bytes(layer_mean(e0, adj, L), want)
     assert_same_bytes(e0, before)
+
+
+@st.composite
+def bipartite_and_e0(draw):
+    """A bipartite norm_adj, a side, an e0 zero (some -0.0) off that side, a full e0 and rows."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    nu, ni, k = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    mask = draw(hnp.arrays(np.bool_, (nu, ni)))
+    adj = build_graph(np.argwhere(mask), nu, ni).norm_adj.astype(dtype)
+    floats = st.floats(-2, 2, width=32)
+    full = draw(hnp.arrays(dtype, (nu + ni, k), elements=floats))
+    side = draw(st.sampled_from([(0, nu), (nu, nu + ni)]))
+    one = np.zeros_like(full)
+    one[slice(*side)] = full[slice(*side)]
+    one[draw(hnp.arrays(np.bool_, nu + ni))] *= -0.0  # signed zeros, on and off the side
+    rows = draw(st.permutations(range(nu + ni)))[:draw(st.integers(1, nu + ni))]
+    return adj, side, one, full, np.array(rows)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bipartite_and_e0())
+def test_layer_mean_side_and_rows_blocks_match_the_reference(case):
+    # the one-sided and last-layer-rows paths, fused into blocks cut by a half's nnz or by rows,
+    # give whole-array scipy layers' bytes, zeros' signs included
+    adj, side, one, full, rows = case
+    before = one.copy(), full.copy()
+    for L in (0, 1, 2, 3):
+        want_side = layer_mean_reference(one, adj, L, side=side)
+        want_rows = layer_mean_reference(full, adj, L, rows=rows)
+        for n in POOLS:
+            with blocks_of(n):
+                assert_same_bytes(layer_mean(one, adj, L, side=side), want_side)
+                assert_same_bytes(layer_mean(full, adj, L, rows=rows), want_rows)
+    assert_same_bytes(one, before[0])
+    assert_same_bytes(full, before[1])
 
 
 @pytest.mark.parametrize("n", list(POOLS))

@@ -141,6 +141,28 @@ def test_finetune_is_bit_identical_at_1_to_4_blocks(dtype):
     assert len(finals) == 1
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_scl_nr_pretrain_is_bit_identical_at_1_and_3_blocks(dtype):
+    # 150 users and 140 items: similarity chunks of 64 rows, contrastive batches of 192 rows
+    # (a 128-row chunk and a partial one, three symmetrisation pairs) and one-sided layers all split;
+    # at d = 16 no projected row is zero, so every batch runs
+    ds = toy_dataset(num_users=150, num_items=140, seed=22, with_test=False)
+    graph = build_graph(ds.train, ds.num_users, ds.num_items)
+    cfg = small_train_config(pretrain_epochs=2, batch_size=96, dtype=dtype)
+    runs = set()
+    for n in (1, 3):
+        lines = []
+        with blocks_of(n):
+            sim = compute_similarity(graph, 5)
+            state = init_embeddings(ds.num_users, ds.num_items, 16, seed=3, dtype=cfg.np_dtype)
+            out, head, _ = pretrain(ds, sim, AugmentationConfig(method="NR"), state,
+                                    LossConfig(), cfg, log_fn=lines.append)
+        assert len(lines) == 2 and not any("skipped" in line for line in lines)
+        runs.add((out.stacked().tobytes(), *(getattr(head, k).tobytes()
+                                              for k in ("w1", "b1", "w2", "b2"))))
+    assert len(runs) == 1
+
+
 @pytest.mark.parametrize("field", ["pretrain_epochs", "finetune_epochs"])
 def test_train_config_rejects_negative_epochs(field):
     with pytest.raises(ValueError, match=r"^epoch counts must be >= 0$"):
