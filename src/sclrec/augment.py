@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from sclrec.dataset import BipartiteGraph, build_graph, in_sorted, key_pairs
+from sclrec.dataset import BipartiteGraph, build_graph, in_sorted, sorted_distinct
 from sclrec.gcn import row_blocks
 from sclrec.metrics import top_k
 
@@ -124,15 +124,13 @@ def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     if graph.num_users < 2 or graph.num_items < 2:
         raise ValueError("similarity needs at least 2 users and 2 items")
-    nu, ni = graph.num_users, graph.num_items
-    users, items = graph.edge_array().T
-    # binary user x item; its syrk counts (< 2**24) are exact in float32 at any thread count
-    x = np.zeros((nu, ni), dtype=np.float32)
-    x[users, items] = 1.0
-    return SimilarityIndex(
-        users=_top_n_neighbors(x @ x.T, np.bincount(users, minlength=nu), top_n),
-        items=_top_n_neighbors(x.T @ x, np.bincount(items, minlength=ni), top_n),
-    )
+    nu, deg = graph.num_users, np.diff(graph.norm_adj.indptr)  # a CSR row's length is its degree
+    # binary user x item, whose flat index is the edge key; its syrk counts (< 2**24)
+    # are exact in float32 at any thread count
+    x = np.zeros((nu, graph.num_items), dtype=np.float32)
+    x.reshape(-1)[graph.keys] = 1.0
+    return SimilarityIndex(users=_top_n_neighbors(x @ x.T, deg[:nu], top_n),
+                           items=_top_n_neighbors(x.T @ x, deg[nu:], top_n))
 
 
 def node_drop(graph: BipartiteGraph, rho1: float, rng: np.random.Generator) -> AugmentedView:
@@ -140,9 +138,9 @@ def node_drop(graph: BipartiteGraph, rho1: float, rng: np.random.Generator) -> A
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
     mask = rng.random(graph.num_nodes) < rho1
-    edges = graph.edge_array()
-    kept = ~(mask[edges[:, 0]] | mask[graph.num_users + edges[:, 1]])
-    g = build_graph(edges[kept], graph.num_users, graph.num_items)
+    users, items = np.divmod(graph.keys, graph.num_items)
+    kept = ~(mask[users] | mask[graph.num_users + items])
+    g = build_graph(graph.keys[kept], graph.num_users, graph.num_items, as_keys=True)
     return AugmentedView(graph=g, dropped_nodes=tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -150,9 +148,8 @@ def edge_drop(graph: BipartiteGraph, rho2: float, rng: np.random.Generator) -> A
     """Drop each edge independently with probability rho2; node set untouched."""
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
-    edges = graph.edge_array()
-    mask = rng.random(len(edges)) < rho2
-    g = build_graph(edges[~mask], graph.num_users, graph.num_items)
+    mask = rng.random(len(graph.keys)) < rho2
+    g = build_graph(graph.keys[~mask], graph.num_users, graph.num_items, as_keys=True)
     return AugmentedView(graph=g, dropped_edge_indices=tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -195,11 +192,11 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
         for others, out in ((seg, removed), (np.sort(novel[picks]), added)):
             out.append(node * ni + others - nu if as_user else others * ni + node - nu)
         replicated.append(node)
-    edges = graph.edge_array()
-    keys = edges[:, 0] * ni + edges[:, 1]
-    if removed:
-        keys = np.concatenate([keys[~in_sorted(np.sort(np.concatenate(removed)), keys)], *added])
-    g = build_graph(key_pairs(keys, ni), nu, ni)
+    keys = graph.keys
+    if removed:  # two selected nodes can add the same edge
+        kept = keys[~in_sorted(np.sort(np.concatenate(removed)), keys)]
+        keys = sorted_distinct(np.concatenate([kept, *added]))
+    g = build_graph(keys, nu, ni, as_keys=True)
 
     def replications():  # each edge key back to its (user, item) pair
         return tuple((node, *(tuple(zip(*(a.tolist() for a in np.divmod(k, ni)))) for k in ra))

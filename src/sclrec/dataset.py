@@ -10,16 +10,19 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class InteractionDataset:
-    """Implicit-feedback interactions over dense 0-based user/item id spaces, held as
-    sorted, distinct, read-only int64 keys user * num_items + item (`train_keys`,
-    `test_keys`); `train` and `test` take what `pair_keys` takes."""
+NO_KEYS = np.empty(0, dtype=np.int64)  # what both entries take for no interactions
 
-    def __init__(self, num_users: int, num_items: int, train=(), test=(),
-                 orig_user_ids: tuple = (), orig_item_ids: tuple = ()):
+
+class InteractionDataset:
+    """Implicit-feedback interactions over dense 0-based user/item id spaces, held as sorted,
+    distinct, read-only int64 keys user * num_items + item (`train_keys`, `test_keys`);
+    `train` and `test` take what `pair_keys` takes, or with as_keys what `checked_keys` takes."""
+
+    def __init__(self, num_users: int, num_items: int, train=NO_KEYS, test=NO_KEYS,
+                 orig_user_ids: tuple = (), orig_item_ids: tuple = (), *, as_keys=False):
         self.num_users, self.num_items = num_users, num_items
-        self.train_keys = pair_keys(train, num_users, num_items)
-        self.test_keys = pair_keys(test, num_users, num_items)
+        to_keys = checked_keys if as_keys else pair_keys  # views: a caller's arrays stay writeable
+        self.train_keys, self.test_keys = (to_keys(e, num_users, num_items).view() for e in (train, test))
         self.train_keys.flags.writeable = self.test_keys.flags.writeable = False
         # original file ids, indexed by dense id (for reporting only)
         self.orig_user_ids, self.orig_item_ids = orig_user_ids, orig_item_ids
@@ -44,8 +47,7 @@ class InteractionDataset:
     @cached_property
     def train_graph(self) -> "BipartiteGraph":
         """The normalized graph of `train_keys`, built once for every stage."""
-        return build_graph(key_pairs(self.train_keys, self.num_items),
-                           self.num_users, self.num_items)
+        return build_graph(self.train_keys, self.num_users, self.num_items, as_keys=True)
 
     def summary(self) -> str:
         n_train, n_test = len(self.train_keys), len(self.test_keys)
@@ -66,10 +68,25 @@ def pair_keys(edges, num_users: int, num_items: int) -> np.ndarray:
     if bad.any():
         u, i = edges[bad][np.lexsort((ie[bad], ue[bad]))[0]].tolist()
         raise ValueError(f"edge ({u},{i}) out of range")
-    # keep the first of each run of equal sorted keys; np.unique hashes (numpy 2.4),
-    # 13-25 ms on 60k-100k keys against ~1 ms here, and this runs for every view
-    keys = np.sort(ue * num_items + ie)
+    return sorted_distinct(ue * num_items + ie)
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Non-negative int64 `keys` sorted, keeping the first of each run of equal keys;
+    np.unique hashes (numpy 2.4), 13-25 ms on 60k-100k keys against ~1 ms here."""
+    keys = np.sort(keys)
     return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def checked_keys(keys, num_users: int, num_items: int) -> np.ndarray:
+    """`keys` itself once an O(m) check finds a 1-D int64 array, ascending, distinct and
+    in [0, num_users * num_items); anything else raises."""
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64 and keys.ndim == 1):
+        raise ValueError("keys must be a 1-D int64 array")
+    if keys.size and (keys[0] < 0 or keys[-1] >= num_users * num_items
+                      or (keys[1:] <= keys[:-1]).any()):
+        raise ValueError("keys must be ascending, distinct and in [0, num_users * num_items)")
+    return keys
 
 
 def key_pairs(keys: np.ndarray, num_items: int) -> np.ndarray:
@@ -99,16 +116,19 @@ class BipartiteGraph:
     def num_nodes(self) -> int:
         return self.num_users + self.num_items
 
-    def edge_array(self) -> np.ndarray:
-        """(m, 2) int64 (user, item) rows in sorted order, read from the CSR's user rows."""
-        nu, indptr = self.num_users, self.norm_adj.indptr
-        users = np.repeat(np.arange(nu), np.diff(indptr[:nu + 1]))
-        return np.stack([users, self.norm_adj.indices[:indptr[nu]] - nu], axis=1)
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The edges' sorted, read-only int64 keys, read from the CSR's user rows."""
+        nu, ni, indptr = self.num_users, self.num_items, self.norm_adj.indptr
+        users = np.repeat(np.arange(nu, dtype=np.int64), np.diff(indptr[:nu + 1]))
+        keys = users * ni + (self.norm_adj.indices[:indptr[nu]] - nu)
+        keys.flags.writeable = False
+        return keys
 
     @cached_property
     def edges(self) -> tuple:
         """Sorted (user_id, item_id) tuples; for tests and inspection only."""
-        return tuple(map(tuple, self.edge_array().tolist()))
+        return tuple(map(tuple, key_pairs(self.keys, self.num_items).tolist()))
 
 
 class ParseError(ValueError):
@@ -180,25 +200,27 @@ def split_train_test(dataset: InteractionDataset, ratio: float = 0.8, seed: int 
         raise ValueError("ratio must be in (0, 1)")
     # their union: both are sorted and distinct, and the constructor rejects overlap
     keys = np.sort(np.concatenate([dataset.train_keys, dataset.test_keys]))
-    _, starts, counts = np.unique(keys // dataset.num_items, return_index=True, return_counts=True)
+    counts = np.bincount(keys // dataset.num_items, minlength=dataset.num_users)
+    # each holding user's first key and count; a user without a key draws nothing
+    starts, counts = (np.cumsum(counts) - counts)[counts > 0], counts[counts > 0]
     n_train = np.maximum(1, np.floor(ratio * counts).astype(np.int64))
     rng = np.random.default_rng(seed)
     in_train = np.zeros(len(keys), dtype=bool)
     for start, n, k in zip(starts.tolist(), counts.tolist(), n_train.tolist()):
         in_train[start + rng.permutation(n)[:k]] = True
     return InteractionDataset(dataset.num_users, dataset.num_items,
-                              train=key_pairs(keys[in_train], dataset.num_items),
-                              test=key_pairs(keys[~in_train], dataset.num_items),
+                              train=keys[in_train], test=keys[~in_train],
                               orig_user_ids=dataset.orig_user_ids,
-                              orig_item_ids=dataset.orig_item_ids)
+                              orig_item_ids=dataset.orig_item_ids, as_keys=True)
 
 
-def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
+def build_graph(edges, num_users: int, num_items: int, *, as_keys=False) -> BipartiteGraph:
     """Build A_hat = D^(-1/2) A D^(-1/2) over the stacked user+item node space from
-    an (m, 2) integer array or an iterable of (user, item) pairs; duplicates collapse."""
+    an (m, 2) integer array or an iterable of (user, item) pairs (duplicates collapse),
+    or with as_keys from what `checked_keys` takes."""
     n = num_users + num_items
     # sorted keys put the edges in (user, item) order
-    ue, ie = np.divmod(pair_keys(edges, num_users, num_items), num_items)
+    ue, ie = np.divmod((checked_keys if as_keys else pair_keys)(edges, num_users, num_items), num_items)
     deg = np.bincount(np.concatenate([ue, num_users + ie]), minlength=n)
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
     w = inv_sqrt[ue] * inv_sqrt[num_users + ie]

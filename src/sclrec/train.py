@@ -200,14 +200,16 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
     touches, once per occurrence.
     """
     nb = len(bu)
-    rows = np.concatenate([bu, bi, bj])
     final = _propagate_raw(e0, adj, L)
-    f = final[rows]
+    f = final[np.concatenate([bu, bi, bj])]
     fu, fi, fj = f[:nb], f[nb:2 * nb], f[2 * nb:]
     y_pos = np.einsum("td,td->t", fu, fi)
     y_neg = np.einsum("td,td->t", fu, fj)
+    # the gradient terms overwrite f below, the user's in fi's rows and the positive's
+    # in fu's, so the scatter and the L2 term take the batch's rows in this order
+    rows = np.concatenate([bi, bu, bj])
     e = e0[rows]
-    eu, ei, ej = e[:nb], e[nb:2 * nb], e[2 * nb:]
+    ei, eu, ej = e[:nb], e[nb:2 * nb], e[2 * nb:]
     sq = float((eu * eu).sum() + (ei * ei).sum() + (ej * ej).sum())
     loss, g_pos, g_neg = bpr_loss(y_pos, y_neg, sq, lambda_l2)
     g_pos = (g_pos / nb).astype(e0.dtype)[:, None]
@@ -216,15 +218,14 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
     # batch terms into its out row in batch order, as np.add.at does.
     scatter = sp.csr_matrix((np.ones(3 * nb, e0.dtype), (rows, np.arange(3 * nb))),
                             shape=(len(e0), 3 * nb))
-    terms = np.empty((3, nb, e0.shape[1]), e0.dtype)
-    def block(a, b):  # each product rounded, then added, as in g_pos * fi + g_neg * fj
-        np.multiply(g_neg[a:b], fj[a:b], out=terms[2, a:b])
-        np.multiply(g_pos[a:b], fi[a:b], out=terms[0, a:b])
-        terms[0, a:b] += terms[2, a:b]
-        np.multiply(g_pos[a:b], fu[a:b], out=terms[1, a:b])
-        np.multiply(g_neg[a:b], fu[a:b], out=terms[2, a:b])
+    def block(a, b):  # in place; each product rounded, then added, as in g_pos * fi + g_neg * fj
+        fj[a:b] *= g_neg[a:b]
+        fi[a:b] *= g_pos[a:b]
+        fi[a:b] += fj[a:b]  # the user's term
+        np.multiply(g_neg[a:b], fu[a:b], out=fj[a:b])  # the negative's
+        fu[a:b] *= g_pos[a:b]  # the positive's
     row_blocks(block, nb)
-    grad_e0 = _propagate_raw(spmm(scatter, terms.reshape(3 * nb, -1)), adj, L)
+    grad_e0 = _propagate_raw(spmm(scatter, f), adj, L)
     spmm(scatter, np.multiply(e, 2.0 * lambda_l2 / nb, out=e), out=grad_e0)  # e is a gathered copy
     return loss / nb, grad_e0
 

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from sclrec.augment import (AugmentationConfig, _top_n_neighbors, compute_similarity, edge_drop,
                             node_drop, node_replication, save_similarity)
-from sclrec.dataset import build_graph
+from sclrec.dataset import build_graph, key_pairs
 
 from conftest import POOLS, blocks_of, random_bipartite, similarity_from_tuples
 from oracles import save_similarity_reference, top_n_neighbors_reference
@@ -275,7 +275,7 @@ def test_similarity_round_trip(tmp_path, rng):
 
     for _ in range(10):
         g = random_bipartite(rng, max_users=12, max_items=12)
-        g = build_graph(g.edge_array(), g.num_users + 2, g.num_items + 1)
+        g = build_graph(key_pairs(g.keys, g.num_items), g.num_users + 2, g.num_items + 1)
         sim = compute_similarity(g, top_n=4)
         assert sim.user_neighbors[-1] == () and sim.item_neighbors[-1] == ()
         assert_same_file(sim)
@@ -301,7 +301,7 @@ def similarity_graphs(draw):
 def test_similarity_index_arrays_property(case):
     g, top_n = case
     sim = compute_similarity(g, top_n)
-    users, items = g.edge_array().T
+    users, items = np.divmod(g.keys, g.num_items)
     for side, neighbors, deg in (
             (sim.users, sim.user_neighbors, np.bincount(users, minlength=g.num_users)),
             (sim.items, sim.item_neighbors, np.bincount(items, minlength=g.num_items))):

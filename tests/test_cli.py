@@ -230,7 +230,8 @@ def count_build_graph(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("method, builds", [("lightgcn", 1), ("scl-ed", 1 + 2 * 2)])
+@pytest.mark.parametrize("method, builds", [("lightgcn", 1), ("scl-ed", 1 + 2 * 2),
+                                            ("scl-nd", 1 + 2 * 2), ("scl-nr", 1 + 2 * 2)])
 def test_run_builds_train_graph_once(tmp_path, data_file, monkeypatch, method, builds):
     # one training graph per run; pretraining adds two views per epoch (2 epochs)
     calls = count_build_graph(monkeypatch)

@@ -1,10 +1,12 @@
 """The array-based loader and split against the set-based versions they
 replaced, kept here as oracles with their algorithms unchanged: same keys,
 same frozensets, same original ids, same random draws. Also the dataset's
-key contract: range checks, read-only keys, and the frozenset views."""
+key contract: range checks, read-only keys, the keys entries, and the frozenset views."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclrec.dataset import (InteractionDataset, ParseError, build_graph, load_ml100k,
                             split_train_test)
@@ -101,13 +103,18 @@ def test_load_and_split_match_set_based_reference(tmp_path):
         loaded, reference = load_ml100k(path), load_ml100k_reference(path)
         assert_same_dataset(loaded, reference)
         assert type(loaded.orig_user_ids[0]) is int
+        # the same interactions on the odd users of a wider id space: users 0, 2, 4, ...
+        # and the last hold none, and the split skips them without drawing
+        spread = InteractionDataset(2 * loaded.num_users + 2, loaded.num_items,
+                                    train=[(2 * u + 1, i) for u, i in loaded.train])
         for ratio in (0.1, 0.5, 0.8, 0.99):
             for seed in (0, 1, 17):
-                split = split_train_test(loaded, ratio=ratio, seed=seed)
-                assert_same_dataset(split, split_train_test_reference(reference, ratio, seed))
-                # a split dataset splits again over train and test together
-                assert_same_dataset(split_train_test(split, ratio=0.5, seed=seed),
-                                    split_train_test_reference(split, 0.5, seed))
+                for data, ref in ((loaded, reference), (spread, spread)):
+                    split = split_train_test(data, ratio=ratio, seed=seed)
+                    assert_same_dataset(split, split_train_test_reference(ref, ratio, seed))
+                    # a split dataset splits again over train and test together
+                    assert_same_dataset(split_train_test(split, ratio=0.5, seed=seed),
+                                        split_train_test_reference(split, 0.5, seed))
 
 
 def test_split_users_with_one_interaction_keep_it_in_train():
@@ -164,6 +171,63 @@ def test_keys_sorted_distinct_and_read_only():
         with pytest.raises(ValueError):
             keys[0] = 1
     assert ds.train_graph is graph
+
+
+@st.composite
+def edge_sets(draw):
+    """(pairs with duplicates, num_users, num_items); trailing users and items often hold
+    no edge, and the pair list may be empty."""
+    nu, ni = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pair = st.tuples(st.integers(0, nu - 1), st.integers(0, ni - 1))
+    pairs = draw(st.lists(pair, max_size=40))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    return pairs, nu + draw(st.integers(0, 2)), ni + draw(st.integers(0, 2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edge_sets())
+def test_build_graph_keys_entry_matches_pairs_entry(case):
+    pairs, nu, ni = case
+    keys = np.array(sorted({u * ni + i for u, i in pairs}), dtype=np.int64)
+    want = build_graph(pairs, nu, ni)
+    got = build_graph(keys, nu, ni, as_keys=True)
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got.norm_adj, name), getattr(want.norm_adj, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    for graph in (got, want):
+        assert graph.keys.dtype == np.int64 and np.array_equal(graph.keys, keys)
+        assert not graph.keys.flags.writeable
+    assert got.edges == tuple(sorted(set(pairs)))
+
+
+BAD_KEYS = {  # for 2 users x 3 items, keys in [0, 6)
+    "unsorted": np.array([4, 1], dtype=np.int64), "duplicated": np.array([1, 1, 4], dtype=np.int64),
+    "negative": np.array([-1, 2], dtype=np.int64), "past the end": np.array([0, 6], dtype=np.int64),
+    "int32": np.array([0, 1], dtype=np.int32), "2-d": np.array([[0, 1]], dtype=np.int64),
+    "list": [0, 1]}
+
+
+@pytest.mark.parametrize("keys", BAD_KEYS.values(), ids=BAD_KEYS.keys())
+def test_keys_entries_reject_unsorted_duplicated_and_out_of_range_keys(keys):
+    with pytest.raises(ValueError, match="keys must be"):
+        build_graph(keys, 2, 3, as_keys=True)
+    for side in ("train", "test"):
+        with pytest.raises(ValueError, match="keys must be"):
+            InteractionDataset(2, 3, **{side: keys}, as_keys=True)
+
+
+def test_keys_entry_freezes_its_own_keys_and_rejects_overlap():
+    train, test = np.array([0, 3, 5], dtype=np.int64), np.array([4], dtype=np.int64)
+    ds = InteractionDataset(2, 3, train=train, test=test, as_keys=True)
+    assert ds == InteractionDataset(2, 3, train=[(0, 0), (1, 0), (1, 2)], test=[(1, 1)])
+    for keys in (ds.train_keys, ds.test_keys):
+        with pytest.raises(ValueError):
+            keys[0] = 1
+    assert train.flags.writeable and test.flags.writeable  # the caller's arrays are not frozen
+    assert InteractionDataset(2, 3, train=train, as_keys=True).test_keys.size == 0
+    with pytest.raises(ValueError, match="overlap"):
+        InteractionDataset(2, 3, train=train, test=train[1:2], as_keys=True)
 
 
 def test_train_view_builds_the_training_graph():
