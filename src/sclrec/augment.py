@@ -140,7 +140,7 @@ def node_drop(graph: BipartiteGraph, rho1: float, rng: np.random.Generator) -> A
     mask = rng.random(graph.num_nodes) < rho1
     users, items = np.divmod(graph.keys, graph.num_items)
     kept = ~(mask[users] | mask[graph.num_users + items])
-    g = build_graph(graph.keys[kept], graph.num_users, graph.num_items, as_keys=True)
+    g = build_graph(graph.keys[kept], graph.num_users, graph.num_items)
     return AugmentedView(graph=g, dropped_nodes=tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -149,7 +149,7 @@ def edge_drop(graph: BipartiteGraph, rho2: float, rng: np.random.Generator) -> A
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
     mask = rng.random(len(graph.keys)) < rho2
-    g = build_graph(graph.keys[~mask], graph.num_users, graph.num_items, as_keys=True)
+    g = build_graph(graph.keys[~mask], graph.num_users, graph.num_items)
     return AugmentedView(graph=g, dropped_edge_indices=tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -196,7 +196,7 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     if removed:  # two selected nodes can add the same edge
         kept = keys[~in_sorted(np.sort(np.concatenate(removed)), keys)]
         keys = sorted_distinct(np.concatenate([kept, *added]))
-    g = build_graph(keys, nu, ni, as_keys=True)
+    g = build_graph(keys, nu, ni)
 
     def replications():  # each edge key back to its (user, item) pair
         return tuple((node, *(tuple(zip(*(a.tolist() for a in np.divmod(k, ni)))) for k in ra))

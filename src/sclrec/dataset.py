@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -10,19 +9,16 @@ import numpy as np
 import scipy.sparse as sp
 
 
-NO_KEYS = np.empty(0, dtype=np.int64)  # what both entries take for no interactions
-
-
 class InteractionDataset:
     """Implicit-feedback interactions over dense 0-based user/item id spaces, held as sorted,
     distinct, read-only int64 keys user * num_items + item (`train_keys`, `test_keys`);
-    `train` and `test` take what `pair_keys` takes, or with as_keys what `checked_keys` takes."""
+    `train` and `test` take keys or pairs, as `interaction_keys` reads them."""
 
-    def __init__(self, num_users: int, num_items: int, train=NO_KEYS, test=NO_KEYS,
-                 orig_user_ids: tuple = (), orig_item_ids: tuple = (), *, as_keys=False):
+    def __init__(self, num_users: int, num_items: int, train=(), test=(),
+                 orig_user_ids: tuple = (), orig_item_ids: tuple = ()):
         self.num_users, self.num_items = num_users, num_items
-        to_keys = checked_keys if as_keys else pair_keys  # views: a caller's arrays stay writeable
-        self.train_keys, self.test_keys = (to_keys(e, num_users, num_items).view() for e in (train, test))
+        self.train_keys, self.test_keys = (interaction_keys(e, num_users, num_items).view()
+                                           for e in (train, test))  # a caller's arrays stay writeable
         self.train_keys.flags.writeable = self.test_keys.flags.writeable = False
         # original file ids, indexed by dense id (for reporting only)
         self.orig_user_ids, self.orig_item_ids = orig_user_ids, orig_item_ids
@@ -47,7 +43,7 @@ class InteractionDataset:
     @cached_property
     def train_graph(self) -> "BipartiteGraph":
         """The normalized graph of `train_keys`, built once for every stage."""
-        return build_graph(self.train_keys, self.num_users, self.num_items, as_keys=True)
+        return build_graph(self.train_keys, self.num_users, self.num_items)
 
     def summary(self) -> str:
         n_train, n_test = len(self.train_keys), len(self.test_keys)
@@ -57,13 +53,29 @@ class InteractionDataset:
                 f"train={n_train} test={n_test} density={density:.2f}%")
 
 
-def pair_keys(edges, num_users: int, num_items: int) -> np.ndarray:
-    """Sorted, distinct int64 keys user * num_items + item of an (m, 2) integer
-    array or an iterable of (user, item) pairs; a pair out of range raises."""
-    if not isinstance(edges, np.ndarray):
-        edges = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
-    edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
-    ue, ie = edges[:, 0], edges[:, 1]
+def interaction_keys(edges, num_users: int, num_items: int) -> np.ndarray:
+    """Sorted, distinct int64 keys user * num_items + item of `edges`, read by form: a 1-D
+    array is keys, returned as it is once an O(m) check finds it int64, ascending, distinct
+    and in [0, num_users * num_items); an (m, 2) integer array or another iterable of integer
+    (user, item) pairs is pairs, range-checked, sorted and de-duplicated. Anything else raises
+    ValueError naming its dtype and shape, or an iterable's first item that is not a pair."""
+    items = None if isinstance(edges, np.ndarray) else list(edges)
+    if items is not None:
+        try:  # a ragged list raises
+            edges = np.array(items) if items else np.empty((0, 2), dtype=np.int64)
+        except ValueError:
+            edges = np.array(None)  # fails every check below
+    if items is None and edges.ndim == 1 and edges.dtype == np.int64:
+        if edges.size and (edges[0] < 0 or edges[-1] >= num_users * num_items
+                           or (edges[1:] <= edges[:-1]).any()):
+            raise ValueError("keys must be ascending, distinct and in [0, num_users * num_items)")
+        return edges
+    if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+        got = f"{edges.dtype} of shape {edges.shape}" if items is None else repr(next((x for x in items
+            if np.array(x, dtype=object).shape != (2,)  # dtype=object: a ragged item does not raise
+            or not all(isinstance(v, (int, np.integer)) for v in x)), items))
+        raise ValueError(f"keys must be a 1-D int64 array, pairs (user, item) integers; got {got}")
+    ue, ie = edges.astype(np.int64, copy=False).T
     bad = (ue < 0) | (ue >= num_users) | (ie < 0) | (ie >= num_items)
     if bad.any():
         u, i = edges[bad][np.lexsort((ie[bad], ue[bad]))[0]].tolist()
@@ -78,19 +90,8 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def checked_keys(keys, num_users: int, num_items: int) -> np.ndarray:
-    """`keys` itself once an O(m) check finds a 1-D int64 array, ascending, distinct and
-    in [0, num_users * num_items); anything else raises."""
-    if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64 and keys.ndim == 1):
-        raise ValueError("keys must be a 1-D int64 array")
-    if keys.size and (keys[0] < 0 or keys[-1] >= num_users * num_items
-                      or (keys[1:] <= keys[:-1]).any()):
-        raise ValueError("keys must be ascending, distinct and in [0, num_users * num_items)")
-    return keys
-
-
 def key_pairs(keys: np.ndarray, num_items: int) -> np.ndarray:
-    """(m, 2) int64 (user, item) rows of `pair_keys`' keys."""
+    """(m, 2) int64 (user, item) rows of interaction keys."""
     return np.stack(np.divmod(keys, num_items), axis=1)
 
 
@@ -188,7 +189,7 @@ def load_ml100k(path) -> InteractionDataset:
     orig_users, user_ids = np.unique(np.array(users, dtype=np.int64), return_inverse=True)
     orig_items, item_ids = np.unique(np.array(items, dtype=np.int64), return_inverse=True)
     return InteractionDataset(len(orig_users), len(orig_items),
-                              train=np.stack([user_ids, item_ids], axis=1),
+                              train=sorted_distinct(user_ids * len(orig_items) + item_ids),
                               orig_user_ids=tuple(orig_users.tolist()),
                               orig_item_ids=tuple(orig_items.tolist()))
 
@@ -211,16 +212,15 @@ def split_train_test(dataset: InteractionDataset, ratio: float = 0.8, seed: int 
     return InteractionDataset(dataset.num_users, dataset.num_items,
                               train=keys[in_train], test=keys[~in_train],
                               orig_user_ids=dataset.orig_user_ids,
-                              orig_item_ids=dataset.orig_item_ids, as_keys=True)
+                              orig_item_ids=dataset.orig_item_ids)
 
 
-def build_graph(edges, num_users: int, num_items: int, *, as_keys=False) -> BipartiteGraph:
+def build_graph(edges, num_users: int, num_items: int) -> BipartiteGraph:
     """Build A_hat = D^(-1/2) A D^(-1/2) over the stacked user+item node space from
-    an (m, 2) integer array or an iterable of (user, item) pairs (duplicates collapse),
-    or with as_keys from what `checked_keys` takes."""
+    keys or pairs, as `interaction_keys` reads them (duplicate pairs collapse)."""
     n = num_users + num_items
     # sorted keys put the edges in (user, item) order
-    ue, ie = np.divmod((checked_keys if as_keys else pair_keys)(edges, num_users, num_items), num_items)
+    ue, ie = np.divmod(interaction_keys(edges, num_users, num_items), num_items)
     deg = np.bincount(np.concatenate([ue, num_users + ie]), minlength=n)
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
     w = inv_sqrt[ue] * inv_sqrt[num_users + ie]

@@ -317,3 +317,28 @@ def test_similarity_index_arrays_property(case):
         assert pair.nnz == pair.count_nonzero()  # no stored False entry
         assert (pair != pair.T).nnz == 0 and pair.diagonal().all()
         assert np.array_equal(pair.toarray(), similar_pairs_matrix_loop(neighbors, n))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(similarity_graphs(), st.floats(0.0, 1.0), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_views_keep_to_the_source_edges_property(case, rho, k_segments, seed):
+    g, top_n = case
+    source, rng = set(g.edges), np.random.default_rng(seed)
+    view = node_drop(g, rho, rng)
+    dropped = set(view.dropped_nodes)
+    assert set(view.graph.edges) <= {(u, i) for u, i in source
+                                     if u not in dropped and g.num_users + i not in dropped}
+    assert set(edge_drop(g, rho, rng).graph.edges) <= source
+    view = node_replication(g, rho, k_segments, compute_similarity(g, top_n), rng)
+    deg = np.diff(g.norm_adj.indptr).tolist()
+    removed_all, added_all = set(), set()
+    for node, removed, added in view.replications:
+        # one of the node's k near-equal segments goes, and at most as many edges come back
+        k = min(k_segments, deg[node])
+        assert len(removed) in {deg[node] // k, -(-deg[node] // k)} and len(added) <= len(removed)
+        side = 0 if node < g.num_users else 1
+        assert {e[side] for e in removed + added} == {node - side * g.num_users}
+        assert set(removed) <= source and not set(added) & source
+        removed_all |= set(removed)
+        added_all |= set(added)
+    assert set(view.graph.edges) == (source - removed_all) | added_all

@@ -1,15 +1,16 @@
 """The array-based loader and split against the set-based versions they
 replaced, kept here as oracles with their algorithms unchanged: same keys,
 same frozensets, same original ids, same random draws. Also the dataset's
-key contract: range checks, read-only keys, the keys entries, and the frozenset views."""
+key contract: range checks, read-only keys, keys or pairs read from the input's form,
+the rejection of anything else, and the frozenset views."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclrec.dataset import (InteractionDataset, ParseError, build_graph, load_ml100k,
-                            split_train_test)
+from sclrec.dataset import (InteractionDataset, ParseError, build_graph, dense_norm_adj,
+                            load_ml100k, split_train_test)
 
 
 def load_ml100k_reference(path) -> InteractionDataset:
@@ -188,46 +189,83 @@ def edge_sets(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(edge_sets())
 def test_build_graph_keys_entry_matches_pairs_entry(case):
+    # keys, an (m, 2) array and a set of pairs build the same CSR bytes, the dense oracle's
+    # values, and zero rows for the nodes that hold no edge
     pairs, nu, ni = case
     keys = np.array(sorted({u * ni + i for u, i in pairs}), dtype=np.int64)
     want = build_graph(pairs, nu, ni)
-    got = build_graph(keys, nu, ni, as_keys=True)
-    for name in ("indptr", "indices", "data"):
-        g, w = getattr(got.norm_adj, name), getattr(want.norm_adj, name)
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    dense = dense_norm_adj(pairs, nu, ni)
+    for given in (keys, np.array(pairs, dtype=np.int64).reshape(-1, 2), set(pairs)):
+        got = build_graph(given, nu, ni)
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got.norm_adj, name), getattr(want.norm_adj, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert np.abs(got.norm_adj.toarray() - dense).max(initial=0.0) <= 1e-12
+        assert got.edges == tuple(sorted(set(pairs)))
     for graph in (got, want):
         assert graph.keys.dtype == np.int64 and np.array_equal(graph.keys, keys)
         assert not graph.keys.flags.writeable
-    assert got.edges == tuple(sorted(set(pairs)))
 
 
 BAD_KEYS = {  # for 2 users x 3 items, keys in [0, 6)
     "unsorted": np.array([4, 1], dtype=np.int64), "duplicated": np.array([1, 1, 4], dtype=np.int64),
     "negative": np.array([-1, 2], dtype=np.int64), "past the end": np.array([0, 6], dtype=np.int64),
-    "int32": np.array([0, 1], dtype=np.int32), "2-d": np.array([[0, 1]], dtype=np.int64),
-    "list": [0, 1]}
+    "int32": np.array([0, 1], dtype=np.int32)}
 
 
 @pytest.mark.parametrize("keys", BAD_KEYS.values(), ids=BAD_KEYS.keys())
 def test_keys_entries_reject_unsorted_duplicated_and_out_of_range_keys(keys):
     with pytest.raises(ValueError, match="keys must be"):
-        build_graph(keys, 2, 3, as_keys=True)
+        build_graph(keys, 2, 3)
     for side in ("train", "test"):
         with pytest.raises(ValueError, match="keys must be"):
-            InteractionDataset(2, 3, **{side: keys}, as_keys=True)
+            InteractionDataset(2, 3, **{side: keys})
+
+
+BAD_PAIRS = {  # for 2 users x 3 items: (input, what the error names)
+    "1-d list": ([0, 1], "0"),
+    "float pairs": (np.array([[0.5, 1.7], [1.0, 2.0]]), "float64 of shape (2, 2)"),
+    "bool pairs": (np.array([[True, False]]), "bool of shape (1, 2)"),
+    "3-tuples": ([(0, 1, 1), (1, 0, 2)], "(0, 1, 1)"),
+    "1-tuples": ([(0,), (1,)], "(0,)"),
+    "odd-length flat": (np.arange(3.0), "float64 of shape (3,)"),
+    "ragged": ([(0, 1), (1,), (1, 2)], "(1,)"),
+    "nested ragged": ([(0, 1), ((0, 1), 2)], "((0, 1), 2)"),
+    "float in a pair": ([(0, 1), (1, 1.5)], "(1, 1.5)")}
+
+
+@pytest.mark.parametrize("edges, got", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+def test_malformed_pairs_raise_naming_the_input(edges, got):
+    # each was once misread without an error: an array's flat values paired up in turn,
+    # float pairs truncated, 3-tuples and 1-tuples flattened and re-paired
+    message = f"keys must be a 1-D int64 array, pairs (user, item) integers; got {got}"
+    with pytest.raises(ValueError) as exc:
+        build_graph(edges, 2, 3)
+    assert str(exc.value) == message
+    for side in ("train", "test"):
+        with pytest.raises(ValueError) as exc:
+            InteractionDataset(2, 3, **{side: edges})
+        assert str(exc.value) == message
+
+
+def test_an_m_by_2_array_is_pairs_and_a_1_d_array_keys():
+    one_pair = np.array([[0, 1]], dtype=np.int64)  # once rejected as 2-d keys
+    assert build_graph(one_pair, 2, 3).edges == ((0, 1),)
+    assert build_graph(np.array([0, 2], dtype=np.int64), 2, 3).edges == ((0, 0), (0, 2))
+    assert InteractionDataset(2, 3, train=one_pair).train_keys.tolist() == [1]
 
 
 def test_keys_entry_freezes_its_own_keys_and_rejects_overlap():
     train, test = np.array([0, 3, 5], dtype=np.int64), np.array([4], dtype=np.int64)
-    ds = InteractionDataset(2, 3, train=train, test=test, as_keys=True)
+    ds = InteractionDataset(2, 3, train=train, test=test)
     assert ds == InteractionDataset(2, 3, train=[(0, 0), (1, 0), (1, 2)], test=[(1, 1)])
     for keys in (ds.train_keys, ds.test_keys):
         with pytest.raises(ValueError):
             keys[0] = 1
     assert train.flags.writeable and test.flags.writeable  # the caller's arrays are not frozen
-    assert InteractionDataset(2, 3, train=train, as_keys=True).test_keys.size == 0
+    assert InteractionDataset(2, 3, train=train).test_keys.size == 0
     with pytest.raises(ValueError, match="overlap"):
-        InteractionDataset(2, 3, train=train, test=train[1:2], as_keys=True)
+        InteractionDataset(2, 3, train=train, test=train[1:2])
 
 
 def test_train_view_builds_the_training_graph():

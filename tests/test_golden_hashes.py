@@ -9,13 +9,15 @@ import ctypes
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
 
+from sclrec import cli
 from sclrec.cli import main
-from sclrec.gcn import init_embeddings, load_checkpoint
+from sclrec.gcn import init_embeddings, load_checkpoint, save_checkpoint
 
 from test_cli import write_config, write_fixture_data
 
@@ -63,21 +65,42 @@ DATA_SETS = {
 }
 
 
+def state_hashes(state, head) -> dict:
+    """sha256 of the final layer-0 embeddings ("e0") and of the head, as the run holds them."""
+    def sha(*arrays):
+        assert all(a.dtype == np.float64 for a in arrays)
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    hashes = {"e0": sha(state.user_emb, state.item_emb)}
+    if head is not None:
+        hashes["head"] = sha(head.w1, head.b1, head.w2, head.b2)
+    return hashes
+
+
 def artifact_hashes(tmp_path, data_set) -> dict:
-    """{"method/dtype": {artifact: sha256}} of one run per method and dtype."""
+    """{"method/dtype": {artifact: sha256}} of one run per method and dtype, and
+    {"method/float64/state": state_hashes} of each float64 run: its checkpoint holds
+    float32 and its log 6 decimals, so only the in-process state shows a float64 ulp."""
     write, settings = DATA_SETS[data_set]
     work = tmp_path / data_set
     work.mkdir()
     data = write(work / "u.data")
-    hashes = {}
+    hashes, saved = {}, {}
+
+    def save(path, state, head=None):  # before the checkpoint's cast to float32
+        saved.update(state=state, head=head)
+        save_checkpoint(path, state, head)
+
     for method in METHODS:
         for dtype in ("float32", "float64"):
             out = work / f"{method}-{dtype}"
             cfg = write_config(work, data, method=method, dtype=dtype, **settings)
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            with mock.patch.object(cli, "save_checkpoint", save):
+                assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             hashes[f"{method}/{dtype}"] = {
                 name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ARTIFACTS if (out / name).exists()}
+            if dtype == "float64":
+                hashes[f"{method}/float64/state"] = state_hashes(saved["state"], saved["head"])
     return hashes
 
 
