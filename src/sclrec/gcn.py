@@ -118,16 +118,20 @@ def spmm(adj, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None) -> np.ndarray:
+def layer_mean(e0: np.ndarray, adj, L: int, side=None, rows=None, work=None) -> np.ndarray:
     """(1/(L+1)) sum_{l=0..L} adj^l e0: E^(l) = adj E^(l-1), averaged over
     layers 0..L, each product an spmm of the CSR adj; e0 is not modified. With
     side=(start, stop), e0 must be zero outside those rows (one side of the
     bipartite graph); each layer then runs the kernel only on the rows of the side it
     maps onto, with the full call's result. With rows, the full result's `rows`, bit for
-    bit: the last layer runs adj[rows] only. Each other layer is one row_blocks pass."""
-    (n, p), acc, e = (adj.shape[0], adj.indptr), e0.copy(), e0
+    bit: the last layer runs adj[rows] only. Each other layer is one row_blocks pass.
+    work=(acc, layers), a caller's n x d and 2 x n x d arrays of e0's dtype, not e0, hold
+    the accumulator (the result, without rows) and the ping-pong layers in place of new ones."""
+    (n, p), e = (adj.shape[0], adj.indptr), e0
     halves = ((0, n), (0, n)) if side is None else (side, (0, side[0]) if side[0] else (side[1], n))
-    layers = np.empty((2, *e0.shape), np.result_type(adj.dtype, e0.dtype))
+    acc, layers = work or (np.empty(e0.shape, e0.dtype),
+                           np.empty((2, *e0.shape), np.result_type(adj.dtype, e0.dtype)))
+    acc[...] = e0
     for layer in range(1, L + 1 - (rows is not None)):  # layer l + 1 reads every row of layer l
         kernel, e = _kernel(adj, e, layers[layer % 2])
         lo, hi = halves[layer % 2]  # E^(l)'s nonzero rows, where the kernel runs

@@ -10,7 +10,7 @@ import numpy as np
 from sclrec.dataset import in_sorted
 
 DEFAULT_CUTOFFS = (3, 5, 10)
-EVAL_BLOCK = 256  # users per score block: bounds the scores held at once to 256 x num_items
+EVAL_BLOCK = 128  # users per score block: bounds the scores held at once to 128 x num_items
 
 
 @dataclass(frozen=True)

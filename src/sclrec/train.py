@@ -49,13 +49,15 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments shaped like each parameter plus a step counter,
-    and two work buffers per parameter for the in-place update."""
+    """First/second moments shaped like each parameter plus a step counter, and
+    per parameter two work buffers for the in-place update: its own, or work[name],
+    the caller's two arrays like it and a bool one for the finiteness check."""
 
-    def __init__(self, params: dict):
+    def __init__(self, params: dict, work=None):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.buffers = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+        self.buffers = {k: (work or {}).get(k) or (np.empty_like(v), np.empty_like(v))
+                        for k, v in params.items()}
         self.step = 0
 
 
@@ -66,13 +68,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     The update p -= lr * m_hat / (sqrt(v_hat) + eps) is evaluated one operation at
     a time, in that order, into the state's work buffers, on gcn's row blocks."""
     for name in params:
-        if not np.isfinite(grads[name]).all():
+        if not np.isfinite(grads[name], *state.buffers[name][2:]).all():  # into a bool buffer, if any
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     for name, p in params.items():
         arrays = [np.atleast_1d(x) for x in (p, grads[name], state.m[name], state.v[name],
-                                             *state.buffers[name])]  # of a 0-d array, a 1-row view
+                                             *state.buffers[name][:2])]  # of a 0-d array, a 1-row view
         def block(a, b):
             p, g, m, v, step, denom = (x[a:b] for x in arrays)
             m *= b1
@@ -189,28 +191,45 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy()), head, loss_curve
 
 
+class Workspace:
+    """Fine-tuning's arrays for an n x d e0 and batches of up to nb triples, allocated
+    once per run. A BPR step, its Adam step and an evaluation's propagation write over
+    them, so none of them allocates an n x d or 3nb x d array."""
+
+    def __init__(self, n: int, d: int, nb: int, dtype):
+        self.final, self.grad = np.empty((2, n, d), dtype)  # the two propagations' results
+        self.layers = np.empty((2, n, d), dtype)  # their ping-pong layers, then Adam's buffers
+        self.adam = {"emb": (*self.layers, np.empty((n, d), bool))}
+        self.f, self.e = np.empty((2, 3 * nb, d), dtype)  # the batch's final and e0 rows
+        self.sq = np.empty((nb, d), dtype)
+
+
 def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarray,
-                       bj: np.ndarray, lambda_l2: float):
+                       bj: np.ndarray, lambda_l2: float, work: Workspace | None = None):
     """One BPR mini-batch end to end: mean loss over the triples and its
     gradient with respect to e0.
 
     bu, bi, bj are stacked node ids (items offset by num_users) of each
     triple's user, positive and negative item. Scores are inner products of
     the propagated embeddings; the L2 term covers the layer-0 rows the batch
-    touches, once per occurrence.
+    touches, once per occurrence. The gradient is `work.grad`, which the next
+    call writes over; without `work`, the call makes its own.
     """
     nb = len(bu)
-    final = _propagate_raw(e0, adj, L)
-    f = final[np.concatenate([bu, bi, bj])]
+    work = Workspace(*e0.shape, nb, e0.dtype) if work is None else work
+    final = _propagate_raw(e0, adj, L, work=(work.final, work.layers))
+    # ids are in range; mode="raise" would buffer `out` through a temporary of its size
+    f = np.take(final, np.concatenate([bu, bi, bj]), axis=0, out=work.f[:3 * nb], mode="clip")
     fu, fi, fj = f[:nb], f[nb:2 * nb], f[2 * nb:]
     y_pos = np.einsum("td,td->t", fu, fi)
     y_neg = np.einsum("td,td->t", fu, fj)
     # the gradient terms overwrite f below, the user's in fi's rows and the positive's
     # in fu's, so the scatter and the L2 term take the batch's rows in this order
     rows = np.concatenate([bi, bu, bj])
-    e = e0[rows]
+    e = np.take(e0, rows, axis=0, out=work.e[:3 * nb], mode="clip")
     ei, eu, ej = e[:nb], e[nb:2 * nb], e[2 * nb:]
-    sq = float((eu * eu).sum() + (ei * ei).sum() + (ej * ej).sum())
+    # each square a contiguous nb x d array, so each sum is (eu * eu).sum()'s pairwise one
+    sq = float(sum(np.multiply(x, x, out=work.sq[:nb]).sum() for x in (eu, ei, ej)))
     loss, g_pos, g_neg = bpr_loss(y_pos, y_neg, sq, lambda_l2)
     g_pos = (g_pos / nb).astype(e0.dtype)[:, None]
     g_neg = (g_neg / nb).astype(e0.dtype)[:, None]
@@ -225,7 +244,8 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
         np.multiply(g_neg[a:b], fu[a:b], out=fj[a:b])  # the negative's
         fu[a:b] *= g_pos[a:b]  # the positive's
     row_blocks(block, nb)
-    grad_e0 = _propagate_raw(spmm(scatter, f), adj, L)
+    final[...] = 0  # dead once gathered: the scatter's target
+    grad_e0 = _propagate_raw(spmm(scatter, f, out=final), adj, L, work=(work.grad, work.layers))
     spmm(scatter, np.multiply(e, 2.0 * lambda_l2 / nb, out=e), out=grad_e0)  # e is a gathered copy
     return loss / nb, grad_e0
 
@@ -258,19 +278,20 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     nu = dataset.num_users
     e0 = state.stacked().astype(dtype)
     params = {"emb": e0}
-    adam = AdamState(params)
     train_keys = dataset.train_keys
     users_all, items_all = np.divmod(train_keys, dataset.num_items)
     # a user holding every item admits no negative; drop its triples up front
     keep = np.bincount(users_all, minlength=nu)[users_all] < dataset.num_items
     users_all, items_all = users_all[keep], items_all[keep]
     n_pairs = len(users_all)
+    work = Workspace(*e0.shape, min(train_config.batch_size, n_pairs), dtype)
+    adam = AdamState(params, work.adam)
 
     def snapshot():
         return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy())
 
     def eval_report(epoch):
-        final = _propagate_raw(e0, adj, state.L)
+        final = _propagate_raw(e0, adj, state.L, work=(work.final, work.layers))
         try:
             return evaluate(final[:nu], final[nu:], dataset)
         except ValueError as exc:  # non-finite scores: training diverged
@@ -289,7 +310,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
             sel = order[start:start + train_config.batch_size]
             loss, grad_e0 = bpr_loss_and_grads(
                 e0, adj, state.L, users_all[sel], items_all[sel] + nu, neg_all[sel] + nu,
-                loss_config.lambda_l2)
+                loss_config.lambda_l2, work)
             losses.append(loss)
             try:
                 adam_step(params, {"emb": grad_e0}, adam, train_config)

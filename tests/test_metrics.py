@@ -210,3 +210,38 @@ def test_evaluate_rejects_non_finite_scores_and_bad_cutoffs():
     fi = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         evaluate(np.array([[1.0, 0.0], [np.nan, 1.0]]), fi, ds)
+
+
+@st.composite
+def evaluation_case(draw):
+    """A drawn dataset and integer-valued embeddings (tied scores). User 0 holds every item but
+    one, one of them its test item, so fewer than 10 items outrank its training items."""
+    nu, ni = draw(st.integers(1, 300)), draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.05, 0.9))
+    held = rng.random((nu, ni)) < density
+    held[0] = True
+    held[0, rng.integers(ni)] = False
+    test = held & (rng.random((nu, ni)) < 0.3)
+    test[0] = False
+    test[0, rng.choice(np.flatnonzero(held[0]))] = True
+    pairs = lambda mask: {(int(u), int(i)) for u, i in zip(*np.nonzero(mask))}
+    ds = dataset_from_pairs(nu, ni, pairs(held & ~test), pairs(test))
+    dtype, d = draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(1, 4))
+    fu, fi = (rng.integers(-2, 3, size=(n, d)).astype(dtype) for n in (nu, ni))
+    return ds, fu, fi
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(evaluation_case())
+def test_evaluate_is_byte_identical_at_any_block_size(case):
+    ds, fu, fi = case
+    reports = []
+    for block in (1, 3, 128, 256):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "EVAL_BLOCK", block)
+            reports.append(evaluate(fu, fi, ds))
+    assert len({repr(report) for report in reports}) == 1  # a float's repr is its exact value
+    values = [v for m in (reports[0].map_at, reports[0].mrr_at, reports[0].ndcg_at)
+              for v in m.values()]
+    assert len(values) == 9 and all(0.0 <= v <= 1.0 for v in values)

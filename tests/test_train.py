@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_embeddings, init_head
 from sclrec.loss import LossConfig, bpr_loss, s_info_nce
-from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig,
+from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, Workspace,
                           adam_step, bpr_loss_and_grads, contrastive_loss_and_grads,
                           finetune, pretrain)
 
@@ -80,17 +82,32 @@ def test_adam_nonfinite_gradient_changes_nothing():
     assert st.step == 1 and all(np.array_equal(x, y) for x, y in zip(after, before))
 
 
-def adam_reference(params, grads, state, lr):
+def adam_reference(params, grads, state, lr, b1=ADAM_BETA1, b2=ADAM_BETA2, eps=ADAM_EPS):
     """adam_step on whole arrays, one operation at a time in its order."""
     state.step += 1
     t = state.step
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += g * (1 - ADAM_BETA1)
-        v *= ADAM_BETA2
-        v += g * (1 - ADAM_BETA2) * g
-        p -= m / (1 - ADAM_BETA1 ** t) * lr / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS)
+        m *= b1
+        m += g * (1 - b1)
+        v *= b2
+        v += g * (1 - b2) * g
+        p -= m / (1 - b1 ** t) * lr / (np.sqrt(v / (1 - b2 ** t)) + eps)
+
+
+def test_adam_step_uses_the_papers_constants_to_the_last_bit():
+    # float64 gradients of about 1e-8 put sqrt(v_hat) next to eps, so one ulp on beta1, beta2
+    # or eps changes the update's bytes; the reference spells the constants out
+    rng = np.random.default_rng(51)
+    grads = [{"x": rng.uniform(0.5e-8, 2e-8, 4096) * rng.choice([-1.0, 1.0], 4096)}
+             for _ in range(3)]
+    got = {"x": rng.normal(0, 0.1, 4096)}
+    want = {"x": got["x"].copy()}
+    state, ref = AdamState(got), AdamState(want)
+    for g in grads:
+        adam_step(got, g, state, TrainConfig(lr=0.01))
+        adam_reference(want, g, ref, 0.01, b1=0.9, b2=0.999, eps=1e-8)
+    assert got["x"].tobytes() == want["x"].tobytes()
 
 
 @st.composite
@@ -124,6 +141,48 @@ def test_adam_step_row_blocks_are_bit_identical_to_whole_arrays(problem):
         for k in params:
             for x, y in ((got[k], want[k]), (state.m[k], ref.m[k]), (state.v[k], ref.v[k])):
                 assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_a_bpr_step_and_its_adam_step_allocate_less_than_one_embedding_matrix():
+    # after the first batch every n x d and 3nb x d array of a step is the workspace's;
+    # without it a step and its Adam step allocate about 7.4 n x d arrays
+    rng = np.random.default_rng(13)
+    nu, ni, d, nb = 300, 400, 64, 128
+    adj = build_graph(np.sort(rng.choice(nu * ni, 6000, replace=False)), nu, ni).norm_adj
+    e0 = rng.normal(0, 0.1, size=(nu + ni, d))
+    params = {"emb": e0}
+    work = Workspace(nu + ni, d, nb, e0.dtype)
+    adam = AdamState(params, work.adam)
+
+    def step():
+        bu, (bi, bj) = rng.integers(0, nu, nb), nu + rng.integers(0, ni, (2, nb))
+        _, grad = bpr_loss_and_grads(e0, adj, 3, bu, bi, bj, 0.01, work)
+        adam_step(params, {"emb": grad}, adam, TrainConfig())
+
+    step()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < e0.nbytes
+
+
+def test_finetune_allocates_for_the_pairs_there_are_not_the_nominal_batch():
+    # a batch of 10**6 triples at d = 4 would hold two 3 x 10**6 x 4 float64 arrays (192 MB)
+    ds = toy_dataset(seed=5)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    cfg = small_train_config(finetune_epochs=1, batch_size=10**6)
+    tracemalloc.start()
+    try:
+        finetune(ds, state, LossConfig(), cfg, log_fn=lambda line: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
