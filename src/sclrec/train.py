@@ -49,15 +49,17 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments shaped like each parameter plus a step counter, and
-    per parameter two work buffers for the in-place update: its own, or work[name],
-    the caller's two arrays like it and a bool one for the finiteness check."""
+    """First/second moments shaped like each parameter plus a step counter, and per
+    parameter two work buffers for the in-place update (the caller's buffers[name],
+    or its own) and a bool array for the finiteness check (finite[name], or none)."""
 
-    def __init__(self, params: dict, work=None):
+    def __init__(self, params: dict, buffers=None, finite=None):
+        buffers, finite = buffers or {}, finite or {}
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.buffers = {k: (work or {}).get(k) or (np.empty_like(v), np.empty_like(v))
+        self.buffers = {k: buffers[k] if k in buffers else (np.empty_like(v), np.empty_like(v))
                         for k, v in params.items()}
+        self.finite = {k: finite.get(k) for k in params}
         self.step = 0
 
 
@@ -68,13 +70,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     The update p -= lr * m_hat / (sqrt(v_hat) + eps) is evaluated one operation at
     a time, in that order, into the state's work buffers, on gcn's row blocks."""
     for name in params:
-        if not np.isfinite(grads[name], *state.buffers[name][2:]).all():  # into a bool buffer, if any
+        if not np.isfinite(grads[name], out=state.finite[name]).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     for name, p in params.items():
         arrays = [np.atleast_1d(x) for x in (p, grads[name], state.m[name], state.v[name],
-                                             *state.buffers[name][:2])]  # of a 0-d array, a 1-row view
+                                             *state.buffers[name])]  # of a 0-d array, a 1-row view
         def block(a, b):
             p, g, m, v, step, denom = (x[a:b] for x in arrays)
             m *= b1
@@ -199,24 +201,22 @@ class Workspace:
     def __init__(self, n: int, d: int, nb: int, dtype):
         self.final, self.grad = np.empty((2, n, d), dtype)  # the two propagations' results
         self.layers = np.empty((2, n, d), dtype)  # their ping-pong layers, then Adam's buffers
-        self.adam = {"emb": (*self.layers, np.empty((n, d), bool))}
+        self.finite = np.empty((n, d), bool)  # Adam's finiteness check
         self.f, self.e = np.empty((2, 3 * nb, d), dtype)  # the batch's final and e0 rows
         self.sq = np.empty((nb, d), dtype)
 
 
 def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarray,
-                       bj: np.ndarray, lambda_l2: float, work: Workspace | None = None):
+                       bj: np.ndarray, lambda_l2: float, work: Workspace):
     """One BPR mini-batch end to end: mean loss over the triples and its
     gradient with respect to e0.
 
     bu, bi, bj are stacked node ids (items offset by num_users) of each
     triple's user, positive and negative item. Scores are inner products of
     the propagated embeddings; the L2 term covers the layer-0 rows the batch
-    touches, once per occurrence. The gradient is `work.grad`, which the next
-    call writes over; without `work`, the call makes its own.
+    touches, once per occurrence. The gradient is `work.grad`, which the next call writes over.
     """
     nb = len(bu)
-    work = Workspace(*e0.shape, nb, e0.dtype) if work is None else work
     final = _propagate_raw(e0, adj, L, work=(work.final, work.layers))
     # ids are in range; mode="raise" would buffer `out` through a temporary of its size
     f = np.take(final, np.concatenate([bu, bi, bj]), axis=0, out=work.f[:3 * nb], mode="clip")
@@ -285,7 +285,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     users_all, items_all = users_all[keep], items_all[keep]
     n_pairs = len(users_all)
     work = Workspace(*e0.shape, min(train_config.batch_size, n_pairs), dtype)
-    adam = AdamState(params, work.adam)
+    adam = AdamState(params, {"emb": tuple(work.layers)}, {"emb": work.finite})
 
     def snapshot():
         return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy())

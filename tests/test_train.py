@@ -152,7 +152,7 @@ def test_a_bpr_step_and_its_adam_step_allocate_less_than_one_embedding_matrix():
     e0 = rng.normal(0, 0.1, size=(nu + ni, d))
     params = {"emb": e0}
     work = Workspace(nu + ni, d, nb, e0.dtype)
-    adam = AdamState(params, work.adam)
+    adam = AdamState(params, {"emb": tuple(work.layers)}, {"emb": work.finite})
 
     def step():
         bu, (bi, bj) = rng.integers(0, nu, nb), nu + rng.integers(0, ni, (2, nb))
@@ -356,7 +356,8 @@ def test_bpr_end_to_end_gradient_check():
         sq = float((e[bu] ** 2).sum() + (e[bi] ** 2).sum() + (e[bj] ** 2).sum())
         return bpr_loss(yp, yn, sq, lam)[0] / len(bu)
 
-    loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam)
+    work = Workspace(*e0.shape, len(bu), e0.dtype)
+    loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam, work)
     assert loss == pytest.approx(loss_of(e0), rel=1e-12)
     eps = 1e-6
     for r in range(nu + ni):
@@ -380,7 +381,11 @@ def test_bpr_loss_and_grads_finite_differences():
     bi = nu + np.array([1, 1, 2, 3, 4, 1])
     bj = nu + np.array([2, 5, 0, 2, 5, 3])
     lam = 0.05
-    loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam)
+
+    def bpr(e):  # each call its own workspace: a shared one would write over `grad`
+        return bpr_loss_and_grads(e, adj, L, bu, bi, bj, lam, Workspace(*e.shape, len(bu), e.dtype))
+
+    loss, grad = bpr(e0)
     dense = adj.toarray()
     final = sum(np.linalg.matrix_power(dense, k) for k in range(L + 1)) @ e0 / (L + 1)
     margin = (final[bu] * (final[bi] - final[bj])).sum(axis=1)
@@ -393,8 +398,7 @@ def test_bpr_loss_and_grads_finite_differences():
             ep, em = e0.copy(), e0.copy()
             ep[r, c] += eps
             em[r, c] -= eps
-            num = (bpr_loss_and_grads(ep, adj, L, bu, bi, bj, lam)[0]
-                   - bpr_loss_and_grads(em, adj, L, bu, bi, bj, lam)[0]) / (2 * eps)
+            num = (bpr(ep)[0] - bpr(em)[0]) / (2 * eps)
             assert num == pytest.approx(grad[r, c], rel=1e-5, abs=1e-10)
 
 
