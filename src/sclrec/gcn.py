@@ -84,11 +84,13 @@ def init_head(d: int, d_h: int, d_p: int, seed: int, dtype=np.float64) -> Projec
 
 def row_blocks(block, m: int, indptr=None) -> None:
     """block(a, b) over _THREADS blocks of rows 0..m, equal in a CSR indptr's nnz, else in rows, all
-    but the first on the pool. A block is a nested function named `block`, so no traced function runs
-    on a worker, and never submits to the pool, where a lone worker would wait on itself."""
+    but the first on the pool, each under the caller's numpy error state (numpy keeps one per thread).
+    A block is a nested function named `block`, so no traced function runs on a worker, and never
+    submits to the pool, where a lone worker would wait on itself."""
     p = np.arange(m + 1) if indptr is None else indptr
     cuts = [0, *np.searchsorted(p, np.arange(1, _THREADS) * (p[-1] / _THREADS)).tolist(), m]
-    rest = _POOL.map(block, cuts[1:-1], cuts[2:]) if _THREADS > 1 else ()
+    pooled = np.errstate(**np.geterr())(block)  # numpy's wrapper, so it too is not sclrec code
+    rest = _POOL.map(pooled, cuts[1:-1], cuts[2:]) if _THREADS > 1 else ()
     block(cuts[0], cuts[1])
     list(rest)  # waits for the other blocks and raises their errors
 

@@ -22,10 +22,10 @@ class LossConfig:
     lambda_l2: float = 1e-4
 
     def __post_init__(self):
-        if not self.tau > 0:  # NaN fails too
-            raise ValueError("tau must be positive")
-        if not self.lambda_l2 >= 0:
-            raise ValueError("lambda_l2 must be nonnegative")
+        if not 0 < self.tau < np.inf:  # NaN fails too
+            raise ValueError("tau must be positive and finite")
+        if not 0 <= self.lambda_l2 < np.inf:
+            raise ValueError("lambda_l2 must be nonnegative and finite")
 
 
 @dataclass
@@ -101,30 +101,33 @@ def _cosine_backward(grad_s: np.ndarray, z_hat: np.ndarray, norms: np.ndarray) -
     row_blocks(block, len(pairs))
     grad_hat = grad_s @ z_hat
     radial = (grad_hat * z_hat).sum(axis=1, keepdims=True)
-    return (grad_hat - radial * z_hat) / norms[:, None]
+    grad_hat -= radial * z_hat
+    grad_hat /= norms[:, None]
+    return grad_hat
 
 
-def info_nce(z: np.ndarray, tau: float):
+def info_nce(z: np.ndarray, tau: float, buf=None):
     """NT-Xent over interleaved co-view pairs (rows 2t and 2t+1 are partners):
-    `s_info_nce` with the partner as each row's one positive, denominator="all"."""
+    `s_info_nce` with the partner as each row's one positive, denominator="all", in `buf`."""
     z = np.asarray(z)
     n = z.shape[0]
     if n < 2 or n % 2 != 0:
         raise ValueError("need an even number >= 2 of rows")
     pos = sp.csr_matrix((np.ones(n, dtype=bool), np.arange(n) ^ 1, np.arange(n + 1)), shape=(n, n))
-    return s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau, "all")
+    return s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau, "all", buf)
 
 
-def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives"):
+def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives", buf=None):
     """Supervised contrastive loss: per anchor, log of (sum over positives) over
     (sum over negatives), as a mean over all 2N anchors.
 
     denominator="negatives" excludes positives from the denominator (the
     printed form; the loss can go negative). denominator="all" uses every
     k != i instead. Returns (loss, grad_z) in z's float dtype (float64 for
-    integer z). Holds one n x n array, padded to n + 8 columns: the scaled
-    cosines become the softmax, dL/dS and its symmetrisation in place, each row's
-    passes in chunks of 128 rows in gcn's row blocks, the Gram on the calling thread."""
+    integer z). Holds one n x n array, padded to n + 8 columns, in the first n(n + 8)
+    entries of a flat `buf` of z's dtype when given: the scaled cosines become the softmax,
+    dL/dS and its symmetrisation in place, each row's passes in chunks of 128 rows in gcn's
+    row blocks, the Gram on the calling thread."""
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.result_type(batch.z, np.float32))
@@ -136,9 +139,10 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives")
     if denominator == "negatives" and (counts == n - 1).any():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
-    buf = np.empty((n, n + 8), dtype=z.dtype)  # off a power-of-two row stride: ~2x faster
+    size = n * (n + 8)  # off a power-of-two row stride: ~2x faster
+    buf = (np.empty(size, z.dtype) if buf is None else buf[:size]).reshape(n, n + 8)
     buf[:, n:] = -np.inf  # whole-row passes keep it -inf, and exp(-inf) = 0
-    s = np.matmul(z_hat, z_hat.T, out=buf[:, :n])
+    s = np.matmul(z_hat, z_hat.T, out=buf[:, :n], casting="no")  # a buf of z's dtype
     starts = np.searchsorted(rows, np.arange(n + 1))  # row a's positives: starts[a]:starts[a + 1]
     m_pos, total_pos, m, total = (np.empty(n, z.dtype) for _ in range(4))
     def block(a, b):

@@ -71,11 +71,10 @@ def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset) -> Ranking
     add them.
     """
     num_items = dataset.num_items
-    test_keys = dataset.test_keys
+    train_keys, test_keys = dataset.train_keys, dataset.test_keys
     users, num_relevant = np.unique(test_keys // num_items, return_counts=True)
     if not len(users):
         raise ValueError("no users with test interactions to evaluate")
-    train_users, train_items = np.divmod(dataset.train_keys, num_items)
     k_max = min(max(DEFAULT_CUTOFFS), num_items)
     ranks = np.arange(1, k_max + 1)
     discount = 1.0 / np.log2(ranks + 1)
@@ -86,10 +85,11 @@ def evaluate(final_user: np.ndarray, final_item: np.ndarray, dataset) -> Ranking
         scores = final_user[block] @ final_item.T
         if not np.isfinite(scores).all():
             raise ValueError("non-finite scores: embeddings hold NaN or inf")
-        lo, hi = np.searchsorted(train_users, [block[0], block[-1] + 1])
-        rows = np.searchsorted(block, train_users[lo:hi])
-        own = block[rows] == train_users[lo:hi]
-        scores[rows[own], train_items[lo:hi][own]] = -np.inf
+        lo, hi = np.searchsorted(train_keys, [block[0] * num_items, (block[-1] + 1) * num_items])
+        train_users, train_items = np.divmod(train_keys[lo:hi], num_items)  # the block's users' pairs
+        rows = np.searchsorted(block, train_users)
+        own = block[rows] == train_users
+        scores[rows[own], train_items[own]] = -np.inf
         top = top_k(scores, k_max)
         hits[start:start + len(block)] = in_sorted(test_keys, block[:, None] * num_items + top)
     gain = np.cumsum(hits * discount, axis=1)

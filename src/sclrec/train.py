@@ -33,8 +33,8 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if not self.lr > 0:  # NaN fails too
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:  # NaN fails too
+            raise ValueError("lr must be positive and finite")
         for name in ("batch_size", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -96,30 +96,42 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         row_blocks(block, len(arrays[0]))
 
 
+def contrastive_work(n: int, d: int, b: int, dtype) -> np.ndarray:
+    """The flat array that contrastive steps over up to b nodes of an n x d e0 write over. A
+    step uses it in three phases that do not overlap in time: the forward propagations'
+    accumulator and layers, s_info_nce's padded 2b x (2b + 8) Gram, then the two gradient
+    scatter targets and the backward propagations' accumulators and shared layers."""
+    return np.empty(max(2 * b * (2 * b + 8), 6 * n * d), dtype)
+
+
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, side: tuple,
-                               pair_mat: np.ndarray | sp.csr_matrix | None, tau: float):
+                               pair_mat: np.ndarray | sp.csr_matrix | None, tau: float,
+                               work: np.ndarray | None = None):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     `nodes` index the rows side = (start, stop) of e0. Propagates e0 through
     both view adjacencies to the batch rows, projects them (interleaved),
     applies supervised InfoNCE over `pair_mat` (dense or CSR, true diagonal)
     or, when it is None, SGL's InfoNCE, and chains the gradient back to e0 (on
-    that side) and the head parameters.
+    that side) and the head parameters. `work` is a `contrastive_work` array
+    of e0's dtype for at least len(nodes) nodes, or a new one when None.
 
-    Returns (loss, grad_e0, head_grads); (None, None, None) when the batch has
-    an anchor without any negative.
+    Returns (loss, grad_e0, head_grads), grad_e0 in `work`, which the next call
+    writes over; (None, None, None) when the batch has an anchor without any negative.
     """
     rows = nodes + side[0]
-    b = len(nodes)
-    h = np.empty((2 * b, e0.shape[1]), dtype=e0.dtype)
-    h[0::2] = _propagate_raw(e0, adj1, L, rows=rows)
-    h[1::2] = _propagate_raw(e0, adj2, L, rows=rows)
+    (n, d), b = e0.shape, len(nodes)
+    work = contrastive_work(n, d, b, e0.dtype) if work is None else work
+    part = work[:6 * n * d].reshape(6, n, d)  # the propagations' n x d arrays
+    h = np.empty((2 * b, d), dtype=e0.dtype)
+    h[0::2] = _propagate_raw(e0, adj1, L, rows=rows, work=(part[0], part[1:3]))
+    h[1::2] = _propagate_raw(e0, adj2, L, rows=rows, work=(part[0], part[1:3]))
     z, cache = project_forward(h, head)
     if (np.linalg.norm(z, axis=1) == 0).any():
         return None, None, None  # dead-relu row, cosine undefined for this batch
     if pair_mat is None:
-        loss, grad_z = info_nce(z, tau)
+        loss, grad_z = info_nce(z, tau, buf=work)
     else:
         p = sp.csr_matrix(pair_mat[nodes][:, nodes])
         if (p.getnnz(axis=1) == b).any():  # pair_mat's diagonal is true: a full row has no negative
@@ -127,15 +139,15 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
         # row 2s + a is view a of nodes[s]
         pos = sp.kron(p, np.ones((2, 2), dtype=bool), format="csr")
         pos.setdiag(False)  # stored zeros, which nonzero() skips
-        loss, grad_z = s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau)
-    grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype))
-    grad_final1 = np.zeros_like(e0)
-    grad_final2 = np.zeros_like(e0)
+        loss, grad_z = s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau, buf=work)
+    grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype, copy=False))
+    grad_final1, grad_final2, acc1, acc2 = part[:4]
+    part[:2] = 0  # the gradient scatters' targets, over the Gram's bytes
     # nodes are distinct, so each row takes one term and needs no scatter-add
     grad_final1[rows] = grad_h[0::2]
     grad_final2[rows] = grad_h[1::2]
-    grad_e0 = (_propagate_raw(grad_final1, adj1, L, side=side)
-               + _propagate_raw(grad_final2, adj2, L, side=side))
+    grad_e0 = _propagate_raw(grad_final1, adj1, L, side=side, work=(acc1, part[4:]))
+    grad_e0 += _propagate_raw(grad_final2, adj2, L, side=side, work=(acc2, part[4:]))
     return loss, grad_e0, head_grads
 
 
@@ -159,8 +171,9 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     e0 = state.stacked().astype(dtype)
     head = init_head(state.d, state.d, state.d, train_config.seed, dtype=dtype)
     params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
-    adam = AdamState(params)
+    adam = AdamState(params, finite={"emb": np.empty(e0.shape, bool)})
     nu, ni = dataset.num_users, dataset.num_items
+    work = contrastive_work(*e0.shape, min(train_config.batch_size, max(nu, ni)), dtype)
     pair_user = pair_item = None
     if sim_index is not None:
         pair_user, pair_item = sim_index.users.pair_matrix(), sim_index.items.pair_matrix()
@@ -177,7 +190,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
                 if len(nodes) < 2:
                     continue
                 loss, grad_e0, head_grads = contrastive_loss_and_grads(
-                    e0, adj1, adj2, state.L, head, nodes, side, pair_mat, loss_config.tau)
+                    e0, adj1, adj2, state.L, head, nodes, side, pair_mat, loss_config.tau, work)
                 if loss is None:
                     log_fn(f"epoch {epoch}: degenerate contrastive batch at offset {side[0]} "
                            "(no valid negatives or zero-norm projection), skipped")
@@ -190,6 +203,7 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else float("nan")
         loss_curve.append(epoch_loss)
         log_fn(f"stage=pretrain epoch={epoch} loss={epoch_loss:.6f}")
+        del v1, v2, adj1, adj2  # freed before the next epoch's views are drawn
     return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy()), head, loss_curve
 
 

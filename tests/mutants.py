@@ -62,6 +62,12 @@ MUTANTS = [
      "np.fill_diagonal(s[:, c + 1:d + 1], -np.inf)",
      "the similarity chunk excludes the next node instead of each node itself",
      "tests/test_augment.py"),
+    ("src/sclrec/train.py", "    part[:2] = 0  # the gradient scatters' targets, over the Gram's bytes\n", "",
+     "the contrastive gradient scatters write over the Gram buffer's old bytes instead of zeros",
+     "tests/test_train.py"),
+    ("src/sclrec/train.py", "work=(acc2, part[4:])", "work=(acc1, part[4:])",
+     "the second backward propagation writes into the first one's accumulator",
+     "tests/test_train.py"),
 ]
 
 

@@ -68,9 +68,10 @@ def save_similarity_reference(index, path) -> None:
                     fh.write(struct.pack("<If", nid, score))
 
 
-def layer_mean_reference(e0, adj, L, side=None, rows=None):
+def layer_mean_reference(e0, adj, L, side=None, rows=None, work=None):
     """`gcn.layer_mean` as whole-array scipy products: one full n x d layer per step,
-    one-sided layers zero outside the half they live on, `rows` taken at the end."""
+    one-sided layers zero outside the half they live on, `rows` taken at the end; `work`
+    is unused, and the result a new array."""
     acc = e0.copy()
     e = e0
     if side is not None:

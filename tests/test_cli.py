@@ -330,7 +330,8 @@ def test_run_skipped_batch_goes_to_train_log_not_stderr(tmp_path, data_file, met
 
 BAD_CONFIG_VALUES = [("tau", "0"), ("rho1", "2"), ("k_segments", "0"), ("batch_size", "0"),
                      ("d", "0"), ("eval_every", "0"), ("dtype", "float13"), ("layers", "-1"), ("patience", "-5"), ("seed", "-1"), ("tau", "nan"),
-                     ("lr", "nan"), ("lambda_l2", "nan")]
+                     ("lr", "nan"), ("lambda_l2", "nan"), ("tau", "inf"), ("lr", "inf"),
+                     ("lambda_l2", "inf")]
 
 
 def assert_config_error_before_reading_data(tmp_path, data_file, capsys, monkeypatch,

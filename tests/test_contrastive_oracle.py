@@ -25,7 +25,7 @@ def cosine_backward_reference(grad_s, z_hat, norms):
     return (grad_hat - radial * z_hat) / norms[:, None]
 
 
-def s_info_nce_reference(batch, tau, denominator="negatives"):
+def s_info_nce_reference(batch, tau, denominator="negatives", buf=None):  # buf: s_info_nce's, unused
     if sp.issparse(batch.positive_mask):
         batch = ContrastBatch(z=batch.z, positive_mask=batch.positive_mask.toarray())
     if denominator not in ("negatives", "all"):
@@ -61,7 +61,7 @@ def s_info_nce_reference(batch, tau, denominator="negatives"):
     return loss, cosine_backward_reference(s, z_hat, norms)
 
 
-def info_nce_reference(z, tau):
+def info_nce_reference(z, tau, buf=None):
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if n < 2 or n % 2 != 0:

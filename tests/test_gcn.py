@@ -412,6 +412,17 @@ def test_spmm_writes_a_half_block_in_place_as_layer_mean_builds_it(n):
                 assert not e_next[:a].any() and not e_next[b:].any()
 
 
+def test_row_blocks_run_under_the_callers_numpy_error_state():
+    # numpy keeps one error state per thread; the block on the pool's worker takes the caller's
+    adj = sp.csr_matrix(np.diag([1.0, -1.0]))  # one entry per row: row 1 is the second block
+    e0 = np.array([[1.0], [np.inf]])  # layer 1 adds -inf to row 1's inf
+    with blocks_of(2):
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            layer_mean(e0, adj, 1)
+        with np.errstate(invalid="ignore"):  # no RuntimeWarning, which pytest makes an error
+            assert np.isnan(layer_mean(e0, adj, 1)[1, 0])
+
+
 def test_spmm_rejects_what_the_kernel_cannot_take_before_it_runs(monkeypatch):
     class NoKernel:
         def csr_matvecs(self, *args):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,3 +247,23 @@ def test_evaluate_is_byte_identical_at_any_block_size(case):
     values = [v for m in (reports[0].map_at, reports[0].mrr_at, reports[0].ndcg_at)
               for v in m.values()]
     assert len(values) == 9 and all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_evaluate_reads_only_the_scored_users_training_pairs():
+    # 40,000 training pairs and one test user: the transient is that user's block, not a
+    # split of every training key (two 320 kB int64 arrays)
+    rng = np.random.default_rng(8)
+    held = rng.random((2000, 50)) < 0.4
+    test = {(0, int(np.flatnonzero(~held[0])[0]))}
+    ds = dataset_from_pairs(2000, 50, {(int(u), int(i)) for u, i in zip(*np.nonzero(held))}, test)
+    fu, fi = rng.normal(size=(2000, 8)), rng.normal(size=(50, 8))
+    want = evaluate(fu, fi, ds)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = evaluate(fu, fi, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak - before < ds.train_keys.nbytes // 4

@@ -12,7 +12,7 @@ from sclrec.gcn import init_embeddings, init_head
 from sclrec.loss import LossConfig, bpr_loss, s_info_nce
 from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, Workspace,
                           adam_step, bpr_loss_and_grads, contrastive_loss_and_grads,
-                          finetune, pretrain)
+                          contrastive_work, finetune, pretrain)
 
 from conftest import POOLS, blocks_of, dataset_from_pairs, similarity_from_tuples
 
@@ -169,6 +169,39 @@ def test_a_bpr_step_and_its_adam_step_allocate_less_than_one_embedding_matrix():
     finally:
         tracemalloc.stop()
     assert peak - before < e0.nbytes
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["scl", "sgl"])
+def test_a_contrastive_step_and_its_adam_step_allocate_less_than_the_gram_buffer(supervised):
+    # after the first batch the padded 2b x (2b + 8) Gram (2 MB here) and the propagations'
+    # n x d arrays are the workspace's; without it every step allocates them
+    rng = np.random.default_rng(17)
+    nu, ni, d, b = 300, 400, 8, 250
+    graph = build_graph(np.sort(rng.choice(nu * ni, 6000, replace=False)), nu, ni)
+    pair = compute_similarity(graph, 5).users.pair_matrix() if supervised else None
+    e0 = rng.normal(0, 0.1, size=(nu + ni, d))
+    head = init_head(d, d, d, seed=2)
+    head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
+    params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
+    adam = AdamState(params, finite={"emb": np.empty(e0.shape, bool)})
+    work = contrastive_work(nu + ni, d, b, e0.dtype)
+
+    def step():
+        nodes = rng.permutation(nu)[:b]
+        loss, grad, head_grads = contrastive_loss_and_grads(
+            e0, graph.norm_adj, graph.norm_adj, 3, head, nodes, (0, nu), pair, 0.2, work)
+        assert loss is not None
+        adam_step(params, {"emb": grad, **head_grads}, adam, TrainConfig())
+
+    step()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * b * (2 * b + 8) * e0.itemsize
 
 
 def test_finetune_allocates_for_the_pairs_there_are_not_the_nominal_batch():
@@ -601,8 +634,8 @@ def test_contrastive_one_sided_backward_matches_full(monkeypatch):
         return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, pair_mat, 0.5)
 
     one_sided = [run(*case) for case in cases]
-    monkeypatch.setattr(train, "_propagate_raw", lambda e, adj, L, side=None, rows=None:
-                        gcn.layer_mean(e, adj, L, rows=rows))
+    monkeypatch.setattr(train, "_propagate_raw", lambda e, adj, L, side=None, rows=None, work=None:
+                        gcn.layer_mean(e, adj, L, rows=rows, work=work))
     for case, (loss, grad, head_grads) in zip(cases, one_sided):
         ref_loss, ref_grad, ref_head = run(*case)
         assert loss is not None and loss == ref_loss
