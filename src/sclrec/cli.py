@@ -79,9 +79,9 @@ class ConfigError(ValueError):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Flat `key = value` lines; `#` starts a comment; unknown keys rejected."""
+    """Flat `key = value` lines; `#` starts a comment; unknown and repeated keys rejected."""
     types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,6 +92,8 @@ def parse_config(text: str) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} already set on line {first_line[key]}")
         try:
             values[key] = types[key](val)
         except ValueError:
@@ -239,7 +241,9 @@ def main(argv=None) -> int:
             return fail(f"config not found: {args.config}", code=2)
         overrides = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
         try:
-            config = replace(parse_config(cfg_path.read_text()), **overrides)
+            config = replace(parse_config(cfg_path.read_text(encoding="utf-8")), **overrides)
+        except UnicodeDecodeError as exc:
+            return fail(f"config not UTF-8: {args.config} (byte {exc.start}: {exc.reason})", code=2)
         except ValueError as exc:  # a ConfigError, or an override RunConfig rejects
             return fail(exc, code=2)
         return cmd_run(config)

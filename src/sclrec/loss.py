@@ -15,6 +15,8 @@ from scipy.special import expit
 
 from sclrec.gcn import row_blocks
 
+GRAM_PAD = 8  # s_info_nce's Gram columns past n: off a power-of-two row stride, ~2x faster
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -124,10 +126,10 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives",
     denominator="negatives" excludes positives from the denominator (the
     printed form; the loss can go negative). denominator="all" uses every
     k != i instead. Returns (loss, grad_z) in z's float dtype (float64 for
-    integer z). Holds one n x n array, padded to n + 8 columns, in the first n(n + 8)
-    entries of a flat `buf` of z's dtype when given: the scaled cosines become the softmax,
-    dL/dS and its symmetrisation in place, each row's passes in chunks of 128 rows in gcn's
-    row blocks, the Gram on the calling thread."""
+    integer z). Holds one n x n array, padded to n + GRAM_PAD columns, in the first
+    n(n + GRAM_PAD) entries of a flat `buf` of z's dtype when given: the scaled cosines become
+    the softmax, dL/dS and its symmetrisation in place, each row's passes in chunks of 128 rows
+    in gcn's row blocks, the Gram on the calling thread."""
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.result_type(batch.z, np.float32))
@@ -139,8 +141,8 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives",
     if denominator == "negatives" and (counts == n - 1).any():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
-    size = n * (n + 8)  # off a power-of-two row stride: ~2x faster
-    buf = (np.empty(size, z.dtype) if buf is None else buf[:size]).reshape(n, n + 8)
+    size = n * (n + GRAM_PAD)
+    buf = (np.empty(size, z.dtype) if buf is None else buf[:size]).reshape(n, n + GRAM_PAD)
     buf[:, n:] = -np.inf  # whole-row passes keep it -inf, and exp(-inf) = 0
     s = np.matmul(z_hat, z_hat.T, out=buf[:, :n], casting="no")  # a buf of z's dtype
     starts = np.searchsorted(rows, np.arange(n + 1))  # row a's positives: starts[a]:starts[a + 1]

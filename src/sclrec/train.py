@@ -13,7 +13,7 @@ from sclrec.dataset import in_sorted
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, project_backward,
                         project_forward, row_blocks, spmm)
 from sclrec.gcn import layer_mean as _propagate_raw  # benchmarks/tracer.py wraps this name
-from sclrec.loss import ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
+from sclrec.loss import GRAM_PAD, ContrastBatch, LossConfig, bpr_loss, info_nce, s_info_nce
 from sclrec.metrics import evaluate
 
 ADAM_BETA1 = 0.9
@@ -49,17 +49,16 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments shaped like each parameter plus a step counter, and per
-    parameter two work buffers for the in-place update (the caller's buffers[name],
-    or its own) and a bool array for the finiteness check (finite[name], or none)."""
+    """First/second moments shaped like each parameter plus a step counter, and per parameter
+    a bool array for the finiteness check and two work buffers (buffers[name], or its own)."""
 
-    def __init__(self, params: dict, buffers=None, finite=None):
-        buffers, finite = buffers or {}, finite or {}
+    def __init__(self, params: dict, buffers=None):
+        buffers = buffers or {}
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.buffers = {k: buffers[k] if k in buffers else (np.empty_like(v), np.empty_like(v))
                         for k, v in params.items()}
-        self.finite = {k: finite.get(k) for k in params}
+        self.finite = {k: np.empty_like(v, dtype=bool) for k, v in params.items()}
         self.step = 0
 
 
@@ -96,34 +95,39 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         row_blocks(block, len(arrays[0]))
 
 
-def contrastive_work(n: int, d: int, b: int, dtype) -> np.ndarray:
-    """The flat array that contrastive steps over up to b nodes of an n x d e0 write over. A
-    step uses it in three phases that do not overlap in time: the forward propagations'
-    accumulator and layers, s_info_nce's padded 2b x (2b + 8) Gram, then the two gradient
-    scatter targets and the backward propagations' accumulators and shared layers."""
-    return np.empty(max(2 * b * (2 * b + 8), 6 * n * d), dtype)
+class Workspace:
+    """A training stage's arrays for an n x d e0, allocated once per run: k n x d `slots` over
+    the head of one flat `buf`, which holds s_info_nce's padded Gram for up to b nodes too, and
+    BPR's gathered rows for up to nb triples. A BPR step takes 4 slots, a contrastive step 6; the
+    last two, its propagations' ping-pong layers, are dead once it returns: Adam borrows them."""
+
+    def __init__(self, n: int, d: int, k: int, dtype, b: int = 0, nb: int = 0):
+        self.buf = np.empty(max(2 * b * (2 * b + GRAM_PAD), k * n * d), dtype)
+        self.slots = self.buf[:k * n * d].reshape(k, n, d)
+        self.f, self.e = np.empty((2, 3 * nb, d), dtype)  # the batch's final and e0 rows
+        self.sq = np.empty((nb, d), dtype)
 
 
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, side: tuple,
                                pair_mat: np.ndarray | sp.csr_matrix | None, tau: float,
-                               work: np.ndarray | None = None):
+                               work: Workspace | None = None):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     `nodes` index the rows side = (start, stop) of e0. Propagates e0 through
     both view adjacencies to the batch rows, projects them (interleaved),
     applies supervised InfoNCE over `pair_mat` (dense or CSR, true diagonal)
     or, when it is None, SGL's InfoNCE, and chains the gradient back to e0 (on
-    that side) and the head parameters. `work` is a `contrastive_work` array
-    of e0's dtype for at least len(nodes) nodes, or a new one when None.
+    that side) and the head parameters. `work` (a 6-slot `Workspace` for len(nodes) nodes or more;
+    a new one when None) holds the forward propagations, then the Gram, then the backward ones.
 
     Returns (loss, grad_e0, head_grads), grad_e0 in `work`, which the next call
     writes over; (None, None, None) when the batch has an anchor without any negative.
     """
     rows = nodes + side[0]
     (n, d), b = e0.shape, len(nodes)
-    work = contrastive_work(n, d, b, e0.dtype) if work is None else work
-    part = work[:6 * n * d].reshape(6, n, d)  # the propagations' n x d arrays
+    work = Workspace(n, d, 6, e0.dtype, b=b) if work is None else work
+    part = work.slots  # the propagations' n x d arrays
     h = np.empty((2 * b, d), dtype=e0.dtype)
     h[0::2] = _propagate_raw(e0, adj1, L, rows=rows, work=(part[0], part[1:3]))
     h[1::2] = _propagate_raw(e0, adj2, L, rows=rows, work=(part[0], part[1:3]))
@@ -131,7 +135,7 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     if (np.linalg.norm(z, axis=1) == 0).any():
         return None, None, None  # dead-relu row, cosine undefined for this batch
     if pair_mat is None:
-        loss, grad_z = info_nce(z, tau, buf=work)
+        loss, grad_z = info_nce(z, tau, buf=work.buf)
     else:
         p = sp.csr_matrix(pair_mat[nodes][:, nodes])
         if (p.getnnz(axis=1) == b).any():  # pair_mat's diagonal is true: a full row has no negative
@@ -139,7 +143,7 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
         # row 2s + a is view a of nodes[s]
         pos = sp.kron(p, np.ones((2, 2), dtype=bool), format="csr")
         pos.setdiag(False)  # stored zeros, which nonzero() skips
-        loss, grad_z = s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau, buf=work)
+        loss, grad_z = s_info_nce(ContrastBatch(z=z, positive_mask=pos), tau, buf=work.buf)
     grad_h, head_grads = project_backward(cache, head, grad_z.astype(e0.dtype, copy=False))
     grad_final1, grad_final2, acc1, acc2 = part[:4]
     part[:2] = 0  # the gradient scatters' targets, over the Gram's bytes
@@ -171,9 +175,9 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     e0 = state.stacked().astype(dtype)
     head = init_head(state.d, state.d, state.d, train_config.seed, dtype=dtype)
     params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
-    adam = AdamState(params, finite={"emb": np.empty(e0.shape, bool)})
     nu, ni = dataset.num_users, dataset.num_items
-    work = contrastive_work(*e0.shape, min(train_config.batch_size, max(nu, ni)), dtype)
+    work = Workspace(*e0.shape, 6, dtype, b=min(train_config.batch_size, max(nu, ni)))
+    adam = AdamState(params, {"emb": tuple(work.slots[-2:])})
     pair_user = pair_item = None
     if sim_index is not None:
         pair_user, pair_item = sim_index.users.pair_matrix(), sim_index.items.pair_matrix()
@@ -207,19 +211,6 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy()), head, loss_curve
 
 
-class Workspace:
-    """Fine-tuning's arrays for an n x d e0 and batches of up to nb triples, allocated
-    once per run. A BPR step, its Adam step and an evaluation's propagation write over
-    them, so none of them allocates an n x d or 3nb x d array."""
-
-    def __init__(self, n: int, d: int, nb: int, dtype):
-        self.final, self.grad = np.empty((2, n, d), dtype)  # the two propagations' results
-        self.layers = np.empty((2, n, d), dtype)  # their ping-pong layers, then Adam's buffers
-        self.finite = np.empty((n, d), bool)  # Adam's finiteness check
-        self.f, self.e = np.empty((2, 3 * nb, d), dtype)  # the batch's final and e0 rows
-        self.sq = np.empty((nb, d), dtype)
-
-
 def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarray,
                        bj: np.ndarray, lambda_l2: float, work: Workspace):
     """One BPR mini-batch end to end: mean loss over the triples and its
@@ -228,10 +219,11 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
     bu, bi, bj are stacked node ids (items offset by num_users) of each
     triple's user, positive and negative item. Scores are inner products of
     the propagated embeddings; the L2 term covers the layer-0 rows the batch
-    touches, once per occurrence. The gradient is `work.grad`, which the next call writes over.
+    touches, once per occurrence. The gradient is `work.slots[1]`, which the next call writes over.
     """
     nb = len(bu)
-    final = _propagate_raw(e0, adj, L, work=(work.final, work.layers))
+    final, grad, layers = work.slots[0], work.slots[1], work.slots[2:]
+    final = _propagate_raw(e0, adj, L, work=(final, layers))
     # ids are in range; mode="raise" would buffer `out` through a temporary of its size
     f = np.take(final, np.concatenate([bu, bi, bj]), axis=0, out=work.f[:3 * nb], mode="clip")
     fu, fi, fj = f[:nb], f[nb:2 * nb], f[2 * nb:]
@@ -259,7 +251,7 @@ def bpr_loss_and_grads(e0: np.ndarray, adj, L: int, bu: np.ndarray, bi: np.ndarr
         fu[a:b] *= g_pos[a:b]  # the positive's
     row_blocks(block, nb)
     final[...] = 0  # dead once gathered: the scatter's target
-    grad_e0 = _propagate_raw(spmm(scatter, f, out=final), adj, L, work=(work.grad, work.layers))
+    grad_e0 = _propagate_raw(spmm(scatter, f, out=final), adj, L, work=(grad, layers))
     spmm(scatter, np.multiply(e, 2.0 * lambda_l2 / nb, out=e), out=grad_e0)  # e is a gathered copy
     return loss / nb, grad_e0
 
@@ -298,14 +290,14 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
     keep = np.bincount(users_all, minlength=nu)[users_all] < dataset.num_items
     users_all, items_all = users_all[keep], items_all[keep]
     n_pairs = len(users_all)
-    work = Workspace(*e0.shape, min(train_config.batch_size, n_pairs), dtype)
-    adam = AdamState(params, {"emb": tuple(work.layers)}, {"emb": work.finite})
+    work = Workspace(*e0.shape, 4, dtype, nb=min(train_config.batch_size, n_pairs))
+    adam = AdamState(params, {"emb": tuple(work.slots[-2:])})
 
     def snapshot():
         return replace(state, user_emb=e0[:nu].copy(), item_emb=e0[nu:].copy())
 
     def eval_report(epoch):
-        final = _propagate_raw(e0, adj, state.L, work=(work.final, work.layers))
+        final = _propagate_raw(e0, adj, state.L, work=(work.slots[0], work.slots[2:]))
         try:
             return evaluate(final[:nu], final[nu:], dataset)
         except ValueError as exc:  # non-finite scores: training diverged
@@ -343,7 +335,7 @@ def finetune(dataset, state: EmbeddingState, loss_config: LossConfig,
         if ndcg is not None:
             line += f" ndcg10={ndcg:.6f}"
         log_fn(line)
-        if can_eval and epoch - best_epoch >= train_config.patience:
+        if ndcg is not None and epoch - best_epoch >= train_config.patience:
             break
     if not can_eval:
         best_state = snapshot()

@@ -48,8 +48,9 @@ MUTANTS = [
     ("src/sclrec/train.py", "    final[...] = 0  # dead once gathered: the scatter's target\n", "",
      "the BPR scatter adds into the forward result it reuses instead of zeros",
      "tests/test_train.py"),
-    ("src/sclrec/train.py", 'AdamState(params, {"emb": tuple(work.layers)}',
-     'AdamState(params, {"emb": (work.grad, work.layers[1])}',
+    ("src/sclrec/train.py",
+     'n_pairs))\n    adam = AdamState(params, {"emb": tuple(work.slots[-2:])})',
+     'n_pairs))\n    adam = AdamState(params, {"emb": (work.slots[1], work.slots[3])})',
      "Adam's work buffer is the gradient it reads", "tests/test_train.py"),
     ("src/sclrec/gcn.py", "            e[a:b] = 0\n", "",
      "a layer_mean block adds its product into the layer buffer's old values",
@@ -68,6 +69,14 @@ MUTANTS = [
     ("src/sclrec/train.py", "work=(acc2, part[4:])", "work=(acc1, part[4:])",
      "the second backward propagation writes into the first one's accumulator",
      "tests/test_train.py"),
+    ("src/sclrec/train.py",
+     'max(nu, ni)))\n    adam = AdamState(params, {"emb": tuple(work.slots[-2:])})',
+     'max(nu, ni)))\n    adam = AdamState(params, {"emb": (work.slots[2], work.slots[5])})',
+     "pretraining's Adam work buffer is the gradient it reads", "tests/test_train.py"),
+    ("src/sclrec/train.py",
+     "if ndcg is not None and epoch - best_epoch >= train_config.patience:",
+     "if can_eval and epoch - best_epoch >= train_config.patience:",
+     "fine-tuning stops early on an epoch it did not evaluate", "tests/test_train.py"),
 ]
 
 

@@ -428,6 +428,15 @@ def test_parse_config_line_without_equals():
         parse_config("seed = 1\nmethod lightgcn\n")
 
 
+def test_run_repeated_key_exit_2_naming_both_lines(tmp_path, capsys):
+    # the data file is missing: a run that got as far as reading it would exit 1
+    cfg = write_config(tmp_path, tmp_path / "nope.data")
+    cfg.write_text(cfg.read_text() + "d = 16\n")  # d is line 5 of 12
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: line 12: 'd' already set on line 5\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_empty_report_exit_1(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n")
@@ -439,6 +448,16 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing)]) == 2
     assert capsys.readouterr().err == f"error: config not found: {missing}\n"
+
+
+def test_run_config_not_utf8_names_the_file_exit_2(tmp_path, data_file, capsys):
+    cfg = write_config(tmp_path, data_file)
+    start = len(cfg.read_bytes()) + len(b"method = caf")
+    cfg.write_bytes(cfg.read_bytes() + b"method = caf\xe9\n")  # Latin-1, not UTF-8
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config not UTF-8: {cfg} (byte {start}: invalid continuation byte)\n")
+    assert not (tmp_path / "out").exists()
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

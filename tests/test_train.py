@@ -9,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 from sclrec.augment import AugmentationConfig, compute_similarity
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_embeddings, init_head
-from sclrec.loss import LossConfig, bpr_loss, s_info_nce
+from sclrec.loss import GRAM_PAD, LossConfig, bpr_loss, s_info_nce
 from sclrec.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, Workspace,
-                          adam_step, bpr_loss_and_grads, contrastive_loss_and_grads,
-                          contrastive_work, finetune, pretrain)
+                          adam_step, bpr_loss_and_grads, contrastive_loss_and_grads, finetune,
+                          pretrain)
 
 from conftest import POOLS, blocks_of, dataset_from_pairs, similarity_from_tuples
 
@@ -151,8 +151,8 @@ def test_a_bpr_step_and_its_adam_step_allocate_less_than_one_embedding_matrix():
     adj = build_graph(np.sort(rng.choice(nu * ni, 6000, replace=False)), nu, ni).norm_adj
     e0 = rng.normal(0, 0.1, size=(nu + ni, d))
     params = {"emb": e0}
-    work = Workspace(nu + ni, d, nb, e0.dtype)
-    adam = AdamState(params, {"emb": tuple(work.layers)}, {"emb": work.finite})
+    work = Workspace(nu + ni, d, 4, e0.dtype, nb=nb)
+    adam = AdamState(params, {"emb": tuple(work.slots[-2:])})
 
     def step():
         bu, (bi, bj) = rng.integers(0, nu, nb), nu + rng.integers(0, ni, (2, nb))
@@ -173,8 +173,8 @@ def test_a_bpr_step_and_its_adam_step_allocate_less_than_one_embedding_matrix():
 
 @pytest.mark.parametrize("supervised", [True, False], ids=["scl", "sgl"])
 def test_a_contrastive_step_and_its_adam_step_allocate_less_than_the_gram_buffer(supervised):
-    # after the first batch the padded 2b x (2b + 8) Gram (2 MB here) and the propagations'
-    # n x d arrays are the workspace's; without it every step allocates them
+    # after the first batch the padded 2b x (2b + GRAM_PAD) Gram (2 MB here), the propagations'
+    # n x d arrays and Adam's are the workspace's; without it every step allocates them
     rng = np.random.default_rng(17)
     nu, ni, d, b = 300, 400, 8, 250
     graph = build_graph(np.sort(rng.choice(nu * ni, 6000, replace=False)), nu, ni)
@@ -183,8 +183,8 @@ def test_a_contrastive_step_and_its_adam_step_allocate_less_than_the_gram_buffer
     head = init_head(d, d, d, seed=2)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
     params = {"emb": e0, "w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
-    adam = AdamState(params, finite={"emb": np.empty(e0.shape, bool)})
-    work = contrastive_work(nu + ni, d, b, e0.dtype)
+    work = Workspace(nu + ni, d, 6, e0.dtype, b=b)
+    adam = AdamState(params, {"emb": tuple(work.slots[-2:])})
 
     def step():
         nodes = rng.permutation(nu)[:b]
@@ -201,7 +201,39 @@ def test_a_contrastive_step_and_its_adam_step_allocate_less_than_the_gram_buffer
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < 2 * b * (2 * b + 8) * e0.itemsize
+    assert peak - before < 2 * b * (2 * b + GRAM_PAD) * e0.itemsize
+
+
+def test_neither_stages_adam_holds_an_embedding_sized_buffer_of_its_own(monkeypatch):
+    # each stage allocates one workspace; emb's two Adam work buffers are its slots, apart
+    # from each other and from the gradient that the Adam step reads
+    import sclrec.train as train
+
+    works, stages = [], []
+
+    class RecordingWorkspace(Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            works.append(self)
+
+    def checked_adam_step(params, grads, state, config):
+        buffers = state.buffers["emb"]
+        assert works and all(np.shares_memory(x, works[-1].buf) for x in buffers)
+        assert not any(np.shares_memory(x, y) for x, y in
+                       [buffers, *((x, grads["emb"]) for x in buffers)])
+        stages.append(len(works))
+        adam_step(params, grads, state, config)
+
+    monkeypatch.setattr(train, "Workspace", RecordingWorkspace)
+    monkeypatch.setattr(train, "adam_step", checked_adam_step)
+    ds = toy_dataset(num_users=150, num_items=140, seed=22, with_test=False)
+    sim = compute_similarity(build_graph(ds.train, ds.num_users, ds.num_items), 5)
+    cfg = small_train_config(pretrain_epochs=1, finetune_epochs=1, batch_size=96)
+    state = init_embeddings(ds.num_users, ds.num_items, 16, seed=3, dtype=cfg.np_dtype)
+    state, _, _ = pretrain(ds, sim, AugmentationConfig(method="NR"), state, LossConfig(), cfg,
+                           log_fn=lambda line: None)
+    finetune(ds, state, LossConfig(), cfg, log_fn=lambda line: None)
+    assert len(works) == 2 and set(stages) == {1, 2}
 
 
 def test_finetune_allocates_for_the_pairs_there_are_not_the_nominal_batch():
@@ -389,7 +421,7 @@ def test_bpr_end_to_end_gradient_check():
         sq = float((e[bu] ** 2).sum() + (e[bi] ** 2).sum() + (e[bj] ** 2).sum())
         return bpr_loss(yp, yn, sq, lam)[0] / len(bu)
 
-    work = Workspace(*e0.shape, len(bu), e0.dtype)
+    work = Workspace(*e0.shape, 4, e0.dtype, nb=len(bu))
     loss, grad = bpr_loss_and_grads(e0, adj, L, bu, bi, bj, lam, work)
     assert loss == pytest.approx(loss_of(e0), rel=1e-12)
     eps = 1e-6
@@ -416,7 +448,8 @@ def test_bpr_loss_and_grads_finite_differences():
     lam = 0.05
 
     def bpr(e):  # each call its own workspace: a shared one would write over `grad`
-        return bpr_loss_and_grads(e, adj, L, bu, bi, bj, lam, Workspace(*e.shape, len(bu), e.dtype))
+        return bpr_loss_and_grads(e, adj, L, bu, bi, bj, lam,
+                                  Workspace(*e.shape, 4, e.dtype, nb=len(bu)))
 
     loss, grad = bpr(e0)
     dense = adj.toarray()
@@ -690,6 +723,18 @@ def test_finetune_returns_the_report_of_the_best_state():
     assert report.ndcg_at[10] == max(ndcgs) and max(ndcgs) not in (ndcgs[0], ndcgs[-1])
     final = layer_mean(out.stacked(), ds.train_graph.norm_adj, state.L)
     assert report == evaluate(final[:ds.num_users], final[ds.num_users:], ds)
+
+
+def test_finetune_stops_early_only_on_an_evaluated_epoch():
+    # patience 5 with evaluations every 10 epochs: a stop at epoch 5 would return the
+    # untrained state that the evaluation before the first epoch chose
+    ds = toy_dataset(seed=1)
+    state = init_embeddings(ds.num_users, ds.num_items, 4, seed=1)
+    cfg = small_train_config(finetune_epochs=20, patience=5, eval_every=10, lr=0.05)
+    _, report, history = finetune(ds, state, LossConfig(), cfg, log_fn=lambda line: None)
+    last_epoch, _, last_ndcg = history[-1]
+    assert last_epoch >= 10 and last_ndcg is not None
+    assert report.ndcg_at[10] == max(ndcg for _, _, ndcg in history if ndcg is not None)
 
 
 def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch):
