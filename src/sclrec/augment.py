@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph, build_graph, in_sorted, sorted_distinct
 from sclrec.gcn import row_blocks
@@ -68,15 +67,6 @@ class Neighbors:
     ids: np.ndarray     # (n, k) int64
     scores: np.ndarray  # (n, k) float64
     counts: np.ndarray  # (n,) int64
-
-    def pair_matrix(self) -> sp.csr_matrix:
-        """Symmetric boolean n x n CSR storing only true entries: (a, b) if either
-        lists the other; diagonal true (a node's two views are mutual positives)."""
-        n = len(self.counts)
-        a = np.repeat(np.arange(n), self.counts)
-        b = self.ids[np.arange(self.ids.shape[1]) < self.counts[:, None]]
-        m = sp.csr_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
-        return m + m.T + sp.eye(n, dtype=bool, format="csr")
 
     @cached_property
     def tuples(self) -> tuple:
@@ -167,6 +157,8 @@ def node_replication(graph: BipartiteGraph, rho3: float, k_segments: int,
     """
     if graph.num_nodes == 0:
         raise ValueError("empty graph")
+    if sim_index is None:
+        raise ValueError("node replication needs a similarity index, got None")
     nu, ni = graph.num_users, graph.num_items
     # a node's partners are its CSR row: stacked ids of the other side, ascending
     indptr, indices = graph.norm_adj.indptr, graph.norm_adj.indices.astype(np.int64)

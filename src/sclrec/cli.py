@@ -191,15 +191,21 @@ def cmd_compare(paths) -> int:
     rows = []
     for p in paths:
         try:
-            lines = Path(p).read_text().strip().splitlines()
+            text = Path(p).read_text()
         except (OSError, ValueError) as exc:  # missing, unreadable or not text
             return fail(f"{p}: {exc.strerror if isinstance(exc, OSError) else exc}")
+        lines = text.strip().splitlines()
         if not lines:
             return fail(f"empty report {p}")
         if header is None:
             header = lines[0]
         elif lines[0] != header:
             return fail(f"header mismatch in {p}")
+        blank = text[:len(text) - len(text.lstrip())].count("\n")  # lines before the header
+        for number, row in enumerate(lines[1:], 2 + blank):
+            if row.count(",") != header.count(","):
+                return fail(f"{p}: line {number}: expected {header.count(',') + 1} fields, "
+                            f"got {row.count(',') + 1}")
         rows.extend(lines[1:])
     print(header)
     for row in rows:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from sclrec.augment import make_views
+from sclrec.augment import Neighbors, make_views
 from sclrec.dataset import in_sorted
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_head, project_backward,
                         project_forward, row_blocks, spmm)
@@ -110,13 +110,12 @@ class Workspace:
 
 def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
                                head: ProjectionHead, nodes: np.ndarray, side: tuple,
-                               pair_mat: np.ndarray | sp.csr_matrix | None, tau: float,
-                               work: Workspace | None = None):
+                               sim: Neighbors | None, tau: float, work: Workspace | None = None):
     """One contrastive mini-batch over distinct same-side nodes, end to end.
 
     `nodes` index the rows side = (start, stop) of e0. Propagates e0 through
     both view adjacencies to the batch rows, projects them (interleaved),
-    applies supervised InfoNCE over `pair_mat` (dense or CSR, true diagonal)
+    applies supervised InfoNCE over the pairs `sim` (that side's index) lists
     or, when it is None, SGL's InfoNCE, and chains the gradient back to e0 (on
     that side) and the head parameters. `work` (a 6-slot `Workspace` for len(nodes) nodes or more;
     a new one when None) holds the forward propagations, then the Gram, then the backward ones.
@@ -134,11 +133,16 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
     z, cache = project_forward(h, head)
     if (np.linalg.norm(z, axis=1) == 0).any():
         return None, None, None  # dead-relu row, cosine undefined for this batch
-    if pair_mat is None:
+    if sim is None:
         loss, grad_z = info_nce(z, tau, buf=work.buf)
-    else:
-        p = sp.csr_matrix(pair_mat[nodes][:, nodes])
-        if (p.getnnz(axis=1) == b).any():  # pair_mat's diagonal is true: a full row has no negative
+    else:  # batch nodes s and t pair when either lists the other; each node pairs with itself
+        at = np.full(len(sim.counts), -1)  # each side node's place in the batch, -1 outside it
+        at[nodes] = np.arange(b)
+        s, k = np.nonzero(np.arange(sim.ids.shape[1]) < sim.counts[nodes, None])  # listed entries
+        t = at[sim.ids[nodes[s], k]]
+        s, t = np.r_[s[t >= 0], t[t >= 0], :b], np.r_[t[t >= 0], s[t >= 0], :b]
+        p = sp.csr_matrix((np.ones(len(s), dtype=bool), (s, t)), shape=(b, b))
+        if (p.getnnz(axis=1) == b).any():  # p's diagonal is true: a full row has no negative
             return None, None, None
         # row 2s + a is view a of nodes[s]
         pos = sp.kron(p, np.ones((2, 2), dtype=bool), format="csr")
@@ -178,23 +182,21 @@ def pretrain(dataset, sim_index, aug_config, state: EmbeddingState,
     nu, ni = dataset.num_users, dataset.num_items
     work = Workspace(*e0.shape, 6, dtype, b=min(train_config.batch_size, max(nu, ni)))
     adam = AdamState(params, {"emb": tuple(work.slots[-2:])})
-    pair_user = pair_item = None
-    if sim_index is not None:
-        pair_user, pair_item = sim_index.users.pair_matrix(), sim_index.items.pair_matrix()
+    sims = (None, None) if sim_index is None else (sim_index.users, sim_index.items)
     loss_curve = []
     for epoch in range(1, train_config.pretrain_epochs + 1):
         v1, v2 = make_views(graph, aug_config, sim_index, rng)
         adj1 = v1.graph.norm_adj.astype(dtype, copy=False)
         adj2 = v2.graph.norm_adj.astype(dtype, copy=False)
         batch_losses = []
-        for side, pair_mat in (((0, nu), pair_user), ((nu, nu + ni), pair_item)):
+        for side, sim in zip(((0, nu), (nu, nu + ni)), sims):
             order = rng.permutation(side[1] - side[0])
             for start in range(0, len(order), train_config.batch_size):
                 nodes = order[start:start + train_config.batch_size]
                 if len(nodes) < 2:
                     continue
                 loss, grad_e0, head_grads = contrastive_loss_and_grads(
-                    e0, adj1, adj2, state.L, head, nodes, side, pair_mat, loss_config.tau, work)
+                    e0, adj1, adj2, state.L, head, nodes, side, sim, loss_config.tau, work)
                 if loss is None:
                     log_fn(f"epoch {epoch}: degenerate contrastive batch at offset {side[0]} "
                            "(no valid negatives or zero-norm projection), skipped")

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sclrec.augment import (AugmentationConfig, _top_n_neighbors, compute_similarity, edge_drop,
-                            node_drop, node_replication, save_similarity)
+                            make_views, node_drop, node_replication, save_similarity)
 from sclrec.dataset import build_graph, key_pairs
 
-from conftest import POOLS, blocks_of, random_bipartite, similarity_from_tuples
+from conftest import POOLS, blocks_of, dataset_from_pairs, random_bipartite, similarity_from_tuples
 from oracles import save_similarity_reference, top_n_neighbors_reference
-from test_train import similar_pairs_matrix_loop
+from test_train import batch_positives, expected_positives, same_positives
 
 
 def dense_cosine_users(edges, num_users, num_items):
@@ -251,6 +251,33 @@ def test_node_replication_k_clamped():
     assert v.graph.num_nodes == g.num_nodes
 
 
+def test_node_replication_without_an_index_names_it():
+    from sclrec.gcn import init_embeddings
+    from sclrec.loss import LossConfig
+    from sclrec.train import TrainConfig, pretrain
+
+    ds = dataset_from_pairs(2, 3, {(0, 0), (1, 0), (1, 1), (1, 2)})
+    g, rng = ds.train_graph, np.random.default_rng(0)
+    message = "node replication needs a similarity index, got None"
+    with pytest.raises(ValueError, match=message):
+        node_replication(g, 0.5, 2, None, rng)
+    with pytest.raises(ValueError, match=message):
+        make_views(g, AugmentationConfig(method="NR"), None, rng)
+    with pytest.raises(ValueError, match=message):
+        pretrain(ds, None, AugmentationConfig(method="NR"), init_embeddings(2, 3, 4, seed=0),
+                 LossConfig(), TrainConfig(pretrain_epochs=1), log_fn=lambda line: None)
+
+
+@pytest.mark.parametrize("view", [
+    lambda g, rng: node_drop(g, 0.5, rng),
+    lambda g, rng: edge_drop(g, 0.5, rng),
+    lambda g, rng: node_replication(g, 0.5, 2, None, rng),
+], ids=["node_drop", "edge_drop", "node_replication"])
+def test_augmentations_reject_an_empty_graph(view):
+    with pytest.raises(ValueError, match="^empty graph$"):
+        view(build_graph([], 0, 0), np.random.default_rng(0))
+
+
 def test_view_determinism(rng):
     g = random_bipartite(rng, max_users=20, max_items=20)
     if g.num_users < 2 or g.num_items < 2:
@@ -312,11 +339,8 @@ def test_similarity_index_arrays_property(case):
         for a, neigh in enumerate(neighbors):
             assert a not in [b for b, _ in neigh]
             assert list(neigh) == sorted(neigh, key=lambda pair: (-pair[1], pair[0]))
-        pair = side.pair_matrix()
-        assert pair.dtype == bool and pair.shape == (n, n)
-        assert pair.nnz == pair.count_nonzero()  # no stored False entry
-        assert (pair != pair.T).nnz == 0 and pair.diagonal().all()
-        assert np.array_equal(pair.toarray(), similar_pairs_matrix_loop(neighbors, n))
+        nodes = np.arange(n)[::-1]  # the whole side as one batch: every pair the index holds
+        assert same_positives(batch_positives(side, nodes), expected_positives(neighbors, nodes))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

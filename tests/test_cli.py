@@ -532,6 +532,21 @@ def test_compare_missing_report_one_error_line_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
+def test_compare_ragged_row_one_error_line_naming_it_exit_1(tmp_path, capsys):
+    bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
+    bad.write_text("method,MAP@3\nlightgcn,1.0,2.0\n")
+    ok.write_text("method,MAP@3\nsgl,1.0\n")
+    assert main(["compare", str(bad), str(ok)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bad}: line 2: expected 2 fields, got 3\n"
+    bad.write_text("method,MAP@3\nlightgcn,1.0\nsgl\n")  # one field short, in the second file
+    assert main(["compare", str(ok), str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: expected 2 fields, got 1\n"
+    bad.write_text("\n \nmethod,MAP@3\nsgl,1.0,2.0\n")  # lines are the file's, blank ones counted
+    assert main(["compare", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 4: expected 2 fields, got 3\n"
+
+
 def test_inspect_missing_checkpoint_one_error_line_exit_1(tmp_path, capsys):
     missing = tmp_path / "missing.sclckpt"
     assert main(["inspect-checkpoint", str(missing)]) == 1
@@ -662,7 +677,7 @@ head = init_head(16, 16, 16, seed=1)
 head.b1[:] = 1.0  # every hidden unit live, so no projected row is zero
 adj1, adj2 = (edge_drop(graph, 0.2, rng).graph.norm_adj for _ in range(2))
 loss, _, _ = contrastive_loss_and_grads(e0, adj1, adj2, 3, head, rng.permutation(nu)[:100],
-                                        (0, nu), sim.users.pair_matrix(), 0.2)
+                                        (0, nu), sim.users, 0.2)
 assert loss is not None
 print(json.dumps([sorted({code.co_name for code in on_workers}),
                   sorted(traced[code] for code in on_workers if code in traced)]))

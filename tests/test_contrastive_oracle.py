@@ -183,12 +183,12 @@ def test_contrastive_loss_and_grads_matches_out_of_place_algebra(monkeypatch):
     e0 = rng.normal(0, 0.1, size=(nu + ni, d))
     head = init_head(d, d, d, seed=2)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
-    batches = [(rng.permutation(nu)[:65], (0, nu), sim.users.pair_matrix()),
-               (rng.permutation(ni)[:65], (nu, nu + ni), sim.items.pair_matrix())]
-    cases = [(nodes, side, pair_mat) for nodes, side, pair in batches for pair_mat in (pair, None)]
+    batches = [(rng.permutation(nu)[:65], (0, nu), sim.users),
+               (rng.permutation(ni)[:65], (nu, nu + ni), sim.items)]
+    cases = [(nodes, side, sim_side) for nodes, side, index in batches for sim_side in (index, None)]
 
-    def run(nodes, side, pair_mat):
-        return contrastive_loss_and_grads(e0, adj1, adj2, 3, head, nodes, side, pair_mat, 0.3)
+    def run(nodes, side, sim_side):
+        return contrastive_loss_and_grads(e0, adj1, adj2, 3, head, nodes, side, sim_side, 0.3)
 
     got = [run(*case) for case in cases]
     monkeypatch.setattr(train, "s_info_nce", s_info_nce_reference)

@@ -1,12 +1,14 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sclrec.augment import AugmentationConfig, compute_similarity
+from sclrec.augment import AugmentationConfig, Neighbors, compute_similarity
 from sclrec.dataset import build_graph
 from sclrec.gcn import init_embeddings, init_head
 from sclrec.loss import GRAM_PAD, LossConfig, bpr_loss, s_info_nce
@@ -178,7 +180,7 @@ def test_a_contrastive_step_and_its_adam_step_allocate_less_than_the_gram_buffer
     rng = np.random.default_rng(17)
     nu, ni, d, b = 300, 400, 8, 250
     graph = build_graph(np.sort(rng.choice(nu * ni, 6000, replace=False)), nu, ni)
-    pair = compute_similarity(graph, 5).users.pair_matrix() if supervised else None
+    sim = compute_similarity(graph, 5).users if supervised else None
     e0 = rng.normal(0, 0.1, size=(nu + ni, d))
     head = init_head(d, d, d, seed=2)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
@@ -189,7 +191,7 @@ def test_a_contrastive_step_and_its_adam_step_allocate_less_than_the_gram_buffer
     def step():
         nodes = rng.permutation(nu)[:b]
         loss, grad, head_grads = contrastive_loss_and_grads(
-            e0, graph.norm_adj, graph.norm_adj, 3, head, nodes, (0, nu), pair, 0.2, work)
+            e0, graph.norm_adj, graph.norm_adj, 3, head, nodes, (0, nu), sim, 0.2, work)
         assert loss is not None
         adam_step(params, {"emb": grad, **head_grads}, adam, TrainConfig())
 
@@ -351,11 +353,10 @@ def test_pretrain_end_to_end_gradient_check():
     adj2 = edge_drop(graph, 0.2, rng).graph.norm_adj
     e0 = rng.normal(0, 0.1, size=(graph.num_nodes, 5))
     head = init_head(5, 5, 5, seed=2)
-    pair = sim.users.pair_matrix()
     nodes = np.arange(ds.num_users)
     side = (0, ds.num_users)
     loss, grad_e0, _ = contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side,
-                                                  pair, tau=0.5)
+                                                  sim.users, tau=0.5)
     assert loss is not None
     rng2 = np.random.default_rng(1)
     eps = 1e-5
@@ -365,21 +366,20 @@ def test_pretrain_end_to_end_gradient_check():
         ep, em = e0.copy(), e0.copy()
         ep[r, c] += eps
         em[r, c] -= eps
-        lp = contrastive_loss_and_grads(ep, adj1, adj2, 2, head, nodes, side, pair, tau=0.5)[0]
-        lm = contrastive_loss_and_grads(em, adj1, adj2, 2, head, nodes, side, pair, tau=0.5)[0]
+        lp = contrastive_loss_and_grads(ep, adj1, adj2, 2, head, nodes, side, sim.users, tau=0.5)[0]
+        lm = contrastive_loss_and_grads(em, adj1, adj2, 2, head, nodes, side, sim.users, tau=0.5)[0]
         num = (lp - lm) / (2 * eps)
         assert num == pytest.approx(grad_e0[r, c], rel=1e-3, abs=1e-8)
 
 
 def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
-    # row 2s + a is view a of nodes[s]; rows of distinct views are positives
-    # exactly when pair_mat pairs their nodes
+    # row 2s + a is view a of nodes[s]; rows of distinct views are positives exactly
+    # when their nodes are one node or one lists the other
     import sclrec.train as train
 
     ds = toy_dataset(num_users=8, num_items=10, seed=15, with_test=False)
     graph = build_graph(ds.train, ds.num_users, ds.num_items)
     neighbors = [((5, 0.9),), (), ((6, 0.5),), ((7, 0.4), (0, 0.3)), (), (), (), ()]
-    pair = similarity_from_tuples(neighbors).users.pair_matrix()
     nodes = np.array([5, 1, 7, 3, 0, 2])
     seen = []
     monkeypatch.setattr(train, "s_info_nce",
@@ -388,15 +388,22 @@ def test_contrast_batch_masks_match_per_pair_oracle(monkeypatch):
     head = init_head(4, 4, 4, seed=1)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
     loss, _, _ = contrastive_loss_and_grads(e0, graph.norm_adj, graph.norm_adj, 2, head,
-                                            nodes, (0, ds.num_users), pair, tau=0.5)
+                                            nodes, (0, ds.num_users),
+                                            similarity_from_tuples(neighbors).users, tau=0.5)
     assert loss is not None and len(seen) == 1
     n = 2 * len(nodes)
+
+    def lists(a, b):
+        return b in [x for x, _score in neighbors[a]]
+
     pos = np.zeros((n, n), dtype=bool)
     for r in range(n):
         for c in range(n):
-            pos[r, c] = r != c and pair[nodes[r // 2], nodes[c // 2]]
+            a, b = nodes[r // 2], nodes[c // 2]
+            pos[r, c] = r != c and (a == b or lists(a, b) or lists(b, a))
     assert pos.any() and not pos.all(axis=1).any()
     assert np.array_equal(seen[0].positive_mask.toarray(), pos)
+    assert np.array_equal(np.flatnonzero(pos), seen[0].rows * n + seen[0].cols)
 
 
 def test_bpr_end_to_end_gradient_check():
@@ -648,8 +655,8 @@ def _contrastive_case(seed=16):
     e0 = rng.normal(0, 0.1, size=(graph.num_nodes, 4))
     head = init_head(4, 4, 4, seed=3)
     head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
-    batches = [(np.array([4, 0, 7, 2, 8]), (0, 9), sim.users.pair_matrix()),
-               (np.array([11, 3, 5, 0, 6, 9]), (9, 21), sim.items.pair_matrix())]
+    batches = [(np.array([4, 0, 7, 2, 8]), (0, 9), sim.users),
+               (np.array([11, 3, 5, 0, 6, 9]), (9, 21), sim.items)]
     return ds, e0, adj1, adj2, head, batches
 
 
@@ -660,11 +667,11 @@ def test_contrastive_one_sided_backward_matches_full(monkeypatch):
     import sclrec.train as train
 
     ds, e0, adj1, adj2, head, batches = _contrastive_case()
-    cases = [(nodes, side, pair_mat)
-             for nodes, side, pair in batches for pair_mat in (pair, None)]
+    cases = [(nodes, side, sim_side)
+             for nodes, side, index in batches for sim_side in (index, None)]
 
-    def run(nodes, side, pair_mat):
-        return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, pair_mat, 0.5)
+    def run(nodes, side, sim_side):
+        return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, sim_side, 0.5)
 
     one_sided = [run(*case) for case in cases]
     monkeypatch.setattr(train, "_propagate_raw", lambda e, adj, L, side=None, rows=None, work=None:
@@ -741,18 +748,20 @@ def test_contrastive_batch_pairing_every_node_is_skipped(monkeypatch):
     import sclrec.train as train
 
     ds, e0, adj1, adj2, head, batches = _contrastive_case()
-    nodes, side, _pair = batches[0]
-    everyone = np.ones((ds.num_users, ds.num_users), dtype=bool)
-    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, everyone,
-                                      0.5) == (None, None, None)
-    # one node pairing with every other is enough; one pair fewer and the batch runs
-    one = np.eye(ds.num_users, dtype=bool)
-    one[nodes[0], nodes] = one[nodes, nodes[0]] = True
-    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, one,
-                                      0.5) == (None, None, None)
-    one[nodes[0], nodes[-1]] = one[nodes[-1], nodes[0]] = False
-    assert contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, one,
-                                      0.5)[0] is not None
+    nodes, side, _sim = batches[0]
+
+    def run(neighbors):  # lists of user ids, one per user
+        sim = similarity_from_tuples([[(b, 1.0) for b in ids] for ids in neighbors]).users
+        return contrastive_loss_and_grads(e0, adj1, adj2, 2, head, nodes, side, sim, 0.5)
+
+    n, first, rest = ds.num_users, int(nodes[0]), nodes[1:].tolist()
+    assert run([[b for b in range(n) if b != a] for a in range(n)]) == (None, None, None)
+    # one node pairing with every other is enough, whichever side lists the pair;
+    # one pair fewer and the batch runs
+    assert run([rest if a == first else [] for a in range(n)]) == (None, None, None)
+    assert run([[first] if a in rest else [] for a in range(n)]) == (None, None, None)
+    assert run([rest[:-1] if a == first else [] for a in range(n)])[0] is not None
+    assert run([[first] if a in rest[:-1] else [] for a in range(n)])[0] is not None
     # pretrain: the one user batch (every user lists every other) is skipped,
     # so only the item batch of each epoch takes an Adam step
     ds = toy_dataset(seed=2, with_test=False)
@@ -800,29 +809,105 @@ def test_pretrain_skips_a_trailing_one_node_batch(monkeypatch):
 
 
 def similar_pairs_matrix_loop(neighbors, n):
-    """`Neighbors.pair_matrix` as a dense per-node loop over the tuple view; oracle."""
+    """A side's pairs as a dense per-node loop over the tuple view: (a, b) when either lists
+    the other, and (a, a); oracle."""
     mat = np.eye(n, dtype=bool)
     for a, neigh in enumerate(neighbors):
         mat[a, [b for b, _score in neigh]] = True
     return mat | mat.T
 
 
+def expected_positives(neighbors, nodes):
+    """`similar_pairs_matrix_loop` on the batch `nodes`, expanded to their 2b views (row 2s + a
+    is view a of nodes[s]) without the diagonal; None when a node pairs with the whole batch."""
+    pair = similar_pairs_matrix_loop(neighbors, len(neighbors))[np.ix_(nodes, nodes)]
+    if pair.all(axis=1).any():
+        return None
+    pos = np.kron(pair, np.ones((2, 2), dtype=bool))
+    np.fill_diagonal(pos, False)
+    return pos
+
+
+def batch_positives(index, nodes):
+    """The positives `contrastive_loss_and_grads` hands `s_info_nce` for a batch `nodes` of the
+    side whose `Neighbors` is `index`, as a dense 2b x 2b mask; None when it skips the batch."""
+    import sclrec.train as train
+
+    n, seen = len(index.counts), []
+    e0 = np.random.default_rng(0).normal(0, 0.1, size=(n, 4))
+    head = init_head(4, 4, 4, seed=1)
+    head.b1[:] = 1.0  # every hidden unit live, so no row projects to zero
+    adj = sp.csr_matrix((n, n))  # L = 0: each node's embedding is its own
+    with mock.patch.object(train, "s_info_nce",
+                           lambda batch, *a, **kw: seen.append(batch) or s_info_nce(batch, *a, **kw)):
+        loss = contrastive_loss_and_grads(e0, adj, adj, 0, head, nodes, (0, n), index, 0.5)[0]
+    assert len(seen) == (loss is not None)
+    if loss is None:
+        return None
+    pos = np.zeros((2 * len(nodes),) * 2, dtype=bool)
+    pos[seen[0].rows, seen[0].cols] = True
+    return pos
+
+
+def same_positives(got, want):
+    return got is None if want is None else got is not None and np.array_equal(got, want)
+
+
 def test_similar_pairs_matrix_matches_per_node_loop():
+    # a batch's positives are the loop's pairs among its nodes, for random lists
+    # (degree-0 nodes and neighbours outside the batch included) and a real index
     rng = np.random.default_rng(21)
+    outcomes = set()
     for _ in range(30):
-        n = int(rng.integers(1, 40))
+        n = int(rng.integers(2, 40))
         neighbors = tuple(
             () if rng.random() < 0.3 else
             tuple((int(b), float(rng.random()))
                   for b in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             for _ in range(n))
-        got = similarity_from_tuples(neighbors).users.pair_matrix()
-        assert got.dtype == bool and np.array_equal(got.toarray(),
-                                                    similar_pairs_matrix_loop(neighbors, n))
+        nodes = rng.permutation(n)[:int(rng.integers(2, n + 1))]
+        want = expected_positives(neighbors, nodes)
+        assert same_positives(batch_positives(similarity_from_tuples(neighbors).users, nodes), want)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}  # skipped batches and run ones
     # the index of a real graph, with degree-0 users (empty neighbour lists)
     ds = dataset_from_pairs(6, 5, {(0, 0), (0, 1), (1, 1), (2, 1), (2, 4), (3, 4)})
     sim = compute_similarity(ds.train_graph, 2)
     assert sim.user_neighbors[4] == () and sim.user_neighbors[5] == ()
     for side, neighbors, n in ((sim.users, sim.user_neighbors, 6),
                                (sim.items, sim.item_neighbors, 5)):
-        assert np.array_equal(side.pair_matrix().toarray(), similar_pairs_matrix_loop(neighbors, n))
+        for nodes in (np.arange(n)[::-1], np.array([n - 1, 0, 2]), np.array([4, 1])):
+            want = expected_positives(neighbors, nodes)
+            assert same_positives(batch_positives(side, nodes), want)
+            outcomes.add((n, want is None))
+    assert {(6, False), (5, False)} <= outcomes
+
+
+@st.composite
+def indexed_batches(draw):
+    """One side's neighbour lists (degree-0 nodes included; a node never lists itself) and a
+    batch of its distinct nodes, which the lists may reach past."""
+    n = draw(st.integers(2, 12))
+    neighbors = tuple(
+        tuple((b, 1.0) for b in draw(st.lists(st.integers(0, n - 1).filter(lambda b, a=a: b != a),
+                                              max_size=4, unique=True)))
+        for a in range(n))
+    nodes = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    return neighbors, np.array(nodes)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(indexed_batches())
+def test_batch_positives_match_the_per_node_loop_property(case):
+    # the mask s_info_nce sees is the loop's pairs among the batch's nodes, expanded to views;
+    # the batch is skipped exactly when one of its nodes pairs with all of them
+    neighbors, nodes = case
+    want = expected_positives(neighbors, nodes)
+    index = similarity_from_tuples(neighbors).users
+    assert same_positives(batch_positives(index, nodes), want)
+    # only the batch's rows are read: the others' ids can be out of range
+    outside = np.setdiff1d(np.arange(len(neighbors)), nodes)
+    ids, counts = index.ids.copy(), index.counts.copy()
+    ids[outside], counts[outside] = len(neighbors) + 7, ids.shape[1]
+    poisoned = Neighbors(ids=ids, scores=index.scores, counts=counts)
+    assert same_positives(batch_positives(poisoned, nodes), want)
