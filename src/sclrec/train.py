@@ -140,7 +140,8 @@ def contrastive_loss_and_grads(e0: np.ndarray, adj1, adj2, L: int,
         at[nodes] = np.arange(b)
         s, k = np.nonzero(np.arange(sim.ids.shape[1]) < sim.counts[nodes, None])  # listed entries
         t = at[sim.ids[nodes[s], k]]
-        s, t = np.r_[s[t >= 0], t[t >= 0], :b], np.r_[t[t >= 0], s[t >= 0], :b]
+        s, t = s[t >= 0], t[t >= 0]  # neighbours inside the batch
+        s, t = np.r_[s, t, :b], np.r_[t, s, :b]
         p = sp.csr_matrix((np.ones(len(s), dtype=bool), (s, t)), shape=(b, b))
         if (p.getnnz(axis=1) == b).any():  # p's diagonal is true: a full row has no negative
             return None, None, None

@@ -78,12 +78,10 @@ MUTANTS = [
      "if can_eval and epoch - best_epoch >= train_config.patience:",
      "fine-tuning stops early on an epoch it did not evaluate", "tests/test_train.py"),
     ("src/sclrec/train.py",
-     "np.r_[s[t >= 0], t[t >= 0], :b], np.r_[t[t >= 0], s[t >= 0], :b]",
-     "np.r_[s[t >= 0], :b], np.r_[t[t >= 0], :b]",
+     "np.r_[s, t, :b], np.r_[t, s, :b]", "np.r_[s, :b], np.r_[t, :b]",
      "a batch pairs s with t only when s lists t, not when t lists s", "tests/test_train.py"),
     ("src/sclrec/train.py",
-     "np.r_[s[t >= 0], t[t >= 0], :b], np.r_[t[t >= 0], s[t >= 0], :b]",
-     "np.r_[s[t >= 0], t[t >= 0]], np.r_[t[t >= 0], s[t >= 0]]",
+     "np.r_[s, t, :b], np.r_[t, s, :b]", "np.r_[s, t], np.r_[t, s]",
      "a node's two views are not each other's positives", "tests/test_train.py"),
     ("src/sclrec/train.py", "np.arange(sim.ids.shape[1]) < sim.counts[nodes, None]",
      "np.arange(sim.ids.shape[1]) <= sim.counts[nodes, None]",
