@@ -8,9 +8,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from sclrec.dataset import BipartiteGraph, build_graph, in_sorted, sorted_distinct
-from sclrec.gcn import row_blocks
+from sclrec.gcn import row_blocks, spmm
 from sclrec.metrics import top_k
 
 SIM_MAGIC = b"SCLSIM1\0"
@@ -114,13 +115,15 @@ def compute_similarity(graph: BipartiteGraph, top_n: int) -> SimilarityIndex:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     if graph.num_users < 2 or graph.num_items < 2:
         raise ValueError("similarity needs at least 2 users and 2 items")
-    nu, deg = graph.num_users, np.diff(graph.norm_adj.indptr)  # a CSR row's length is its degree
-    # binary user x item, whose flat index is the edge key; its syrk counts (< 2**24)
-    # are exact in float32 at any thread count
-    x = np.zeros((nu, graph.num_items), dtype=np.float32)
-    x.reshape(-1)[graph.keys] = 1.0
-    return SimilarityIndex(users=_top_n_neighbors(x @ x.T, deg[:nu], top_n),
-                           items=_top_n_neighbors(x.T @ x, deg[nu:], top_n))
+    nu, ni, p, ids = graph.num_users, graph.num_items, graph.norm_adj.indptr, graph.norm_adj.indices
+    deg = np.diff(p)  # a CSR row's length is its degree
+    # each side's binary rows as a CSR of the graph's own arrays (a row lists its partners); one
+    # side's counts are its CSR times the other side's dense 0/1 rows, a gcn.spmm with no BLAS,
+    # exact in float32 (< 2**24)
+    users = sp.csr_matrix((np.ones(p[nu], np.float32), ids[:p[nu]] - nu, p[:nu + 1]), (nu, ni))
+    items = sp.csr_matrix((np.ones(p[-1] - p[nu], np.float32), ids[p[nu]:], p[nu:] - p[nu]), (ni, nu))
+    return SimilarityIndex(users=_top_n_neighbors(spmm(users, items.toarray()), deg[:nu], top_n),
+                           items=_top_n_neighbors(spmm(items, users.toarray()), deg[nu:], top_n))
 
 
 def node_drop(graph: BipartiteGraph, rho1: float, rng: np.random.Generator) -> AugmentedView:

@@ -8,11 +8,10 @@ import sys
 
 from sclrec import scl_threads
 
-try:  # BLAS settings must land before numpy loads: thread caps, and idle workers that sleep, not spin
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-    if _threads := scl_threads(os.environ.get("SCL_THREADS")):
-        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(_var, str(_threads))
+# one BLAS thread, set before numpy loads: SCL_THREADS sizes only gcn's pool
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+try:
+    scl_threads(os.environ.get("SCL_THREADS"))
 except ValueError as exc:  # a bad SCL_THREADS, on which gcn's import raises, is a usage error
     print(f"error: {exc}", file=sys.stderr)
     sys.exit(2)

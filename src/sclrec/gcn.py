@@ -8,11 +8,13 @@ the same operator applied to the output gradient (A_hat is symmetric).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -28,6 +30,13 @@ _THREADS = scl_threads(os.environ.get("SCL_THREADS")) or len(os.sched_getaffinit
 _POOL = ThreadPoolExecutor(_THREADS - 1) if _THREADS > 1 else None
 os.register_at_fork(after_in_child=lambda: globals().update(
     _POOL=_POOL and ThreadPoolExecutor(_THREADS - 1)))
+# The pool is sclrec's only parallelism: numpy's bundled OpenBLAS runs at one thread whatever the
+# environment says, so every BLAS call gives the same bits at any SCL_THREADS. The symbol is the
+# scipy-openblas wheel's (numpy >= 2 on PyPI); a numpy built on another BLAS is not pinned.
+for _lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+    if _pin := getattr(ctypes.CDLL(str(_lib)), "scipy_openblas_set_num_threads64_", None):
+        _pin.argtypes, _pin.restype = [ctypes.c_int], None
+        _pin(1)
 
 
 @dataclass
@@ -93,6 +102,16 @@ def row_blocks(block, m: int, indptr=None) -> None:
     rest = _POOL.map(pooled, cuts[1:-1], cuts[2:]) if _THREADS > 1 else ()
     block(cuts[0], cuts[1])
     list(rest)  # waits for the other blocks and raises their errors
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into `out` of the operands' dtype, one BLAS call per fixed 128-row chunk of a; the pool
+    takes chunks, not rows, so no chunk edge (which can move a bit) depends on the thread count."""
+    def block(i, j):
+        for c in range(128 * i, min(128 * j, len(a)), 128):
+            np.matmul(a[c:c + 128], b, out=out[c:c + 128], casting="no")
+    row_blocks(block, -(-len(a) // 128))
+    return out
 
 
 def _kernel(adj, e: np.ndarray, out: np.ndarray | None = None):

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from sclrec.gcn import row_blocks
+from sclrec.gcn import matmul, row_blocks
 
 GRAM_PAD = 8  # s_info_nce's Gram columns past n: off a power-of-two row stride, ~2x faster
 
@@ -101,7 +101,7 @@ def _cosine_backward(grad_s: np.ndarray, z_hat: np.ndarray, norms: np.ndarray) -
             if r != c:
                 grad_s[c, r] = blk.T
     row_blocks(block, len(pairs))
-    grad_hat = grad_s @ z_hat
+    grad_hat = matmul(grad_s, z_hat, np.empty_like(z_hat))
     radial = (grad_hat * z_hat).sum(axis=1, keepdims=True)
     grad_hat -= radial * z_hat
     grad_hat /= norms[:, None]
@@ -128,8 +128,8 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives",
     k != i instead. Returns (loss, grad_z) in z's float dtype (float64 for
     integer z). Holds one n x n array, padded to n + GRAM_PAD columns, in the first
     n(n + GRAM_PAD) entries of a flat `buf` of z's dtype when given: the scaled cosines become
-    the softmax, dL/dS and its symmetrisation in place, each row's passes in chunks of 128 rows
-    in gcn's row blocks, the Gram on the calling thread."""
+    the softmax, dL/dS and its symmetrisation in place, each row's passes, and the Gram's and the
+    gradient's products (gcn.matmul), in chunks of 128 rows in gcn's row blocks."""
     if denominator not in ("negatives", "all"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
     z = np.asarray(batch.z, dtype=np.result_type(batch.z, np.float32))
@@ -144,7 +144,7 @@ def s_info_nce(batch: ContrastBatch, tau: float, denominator: str = "negatives",
     size = n * (n + GRAM_PAD)
     buf = (np.empty(size, z.dtype) if buf is None else buf[:size]).reshape(n, n + GRAM_PAD)
     buf[:, n:] = -np.inf  # whole-row passes keep it -inf, and exp(-inf) = 0
-    s = np.matmul(z_hat, z_hat.T, out=buf[:, :n], casting="no")  # a buf of z's dtype
+    s = matmul(z_hat, np.ascontiguousarray(z_hat.T), buf[:, :n])  # a buf of z's dtype
     starts = np.searchsorted(rows, np.arange(n + 1))  # row a's positives: starts[a]:starts[a + 1]
     m_pos, total_pos, m, total = (np.empty(n, z.dtype) for _ in range(4))
     def block(a, b):

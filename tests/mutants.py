@@ -86,6 +86,17 @@ MUTANTS = [
     ("src/sclrec/train.py", "np.arange(sim.ids.shape[1]) < sim.counts[nodes, None]",
      "np.arange(sim.ids.shape[1]) <= sim.counts[nodes, None]",
      "a batch's pairs read one entry past each node's count of neighbours", "tests/test_train.py"),
+    ("src/sclrec/gcn.py",
+     "        for c in range(128 * i, min(128 * j, len(a)), 128):\n"
+     "            np.matmul(a[c:c + 128], b, out=out[c:c + 128], casting=\"no\")\n"
+     "    row_blocks(block, -(-len(a) // 128))\n",
+     "        np.matmul(a[i:j], b, out=out[i:j], casting=\"no\")\n"
+     "    row_blocks(block, len(a))\n",
+     "matmul cuts its rows per thread, so its bits depend on the thread count", "tests/test_gcn.py"),
+    ("src/sclrec/gcn.py",
+     "        _pin(1)\n", "        pass\n",
+     "numpy's OpenBLAS keeps the thread count its environment asks for",
+     "tests/test_gcn.py"),
 ]
 
 

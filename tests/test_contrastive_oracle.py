@@ -1,6 +1,8 @@
 """The in-place contrastive kernels against the out-of-place algebra they
-replaced, kept here as oracles with their operations unchanged: the same loss
-and the same gradient, bit for bit, at sizes on and off the 128-row blocks."""
+replaced, kept here as oracles with their operations unchanged but for the Gram
+and the gradient's product, which take gcn.matmul's fixed 128-row chunks: the
+same loss and the same gradient, bit for bit, at sizes on and off the 128-row
+blocks."""
 
 import numpy as np
 import pytest
@@ -19,8 +21,13 @@ from conftest import POOLS, blocks_of, similarity_from_tuples
 from oracles import layer_mean_reference
 
 
+def chunked_matmul(a, b):
+    """a @ b as one product per fixed 128-row chunk of a, the rule gcn.matmul keeps."""
+    return np.concatenate([a[c:c + 128] @ b for c in range(0, len(a), 128)])
+
+
 def cosine_backward_reference(grad_s, z_hat, norms):
-    grad_hat = (grad_s + grad_s.T) @ z_hat
+    grad_hat = chunked_matmul(grad_s + grad_s.T, z_hat)
     radial = (grad_hat * z_hat).sum(axis=1, keepdims=True)
     return (grad_hat - radial * z_hat) / norms[:, None]
 
@@ -38,7 +45,7 @@ def s_info_nce_reference(batch, tau, denominator="negatives", buf=None):  # buf:
     if denominator == "negatives" and not neg.any(axis=1).all():
         raise ValueError("anchor with empty denominator")
     z_hat, norms = _normalize_rows(z)
-    s = (z_hat @ z_hat.T) / tau
+    s = chunked_matmul(z_hat, np.ascontiguousarray(z_hat.T)) / tau
     rows, cols = np.nonzero(batch.positive_mask)
     starts = np.searchsorted(rows, np.arange(n))
     s_pos = s[rows, cols]

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from sclrec import gcn
 from sclrec.dataset import build_graph
 from sclrec.gcn import (EmbeddingState, ProjectionHead, init_embeddings, init_head,
-                        layer_mean, load_checkpoint, project_backward, project_forward,
+                        layer_mean, load_checkpoint, matmul, project_backward, project_forward,
                         propagate, propagate_backward, save_checkpoint, spmm)
 
 from conftest import POOLS, blocks_of, random_bipartite
@@ -515,3 +515,47 @@ def test_spmm_in_a_forked_child_gets_a_new_pool():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [1, 130, 515])
+def test_matmul_is_fixed_128_row_products_at_1_to_4_blocks(dtype, m):
+    # a product's bits can depend on where its rows are cut (at 515 rows in float64, one
+    # product of all rows and two halves each differ from 128-row chunks), so the chunks,
+    # not the blocks, fix the cuts; `out` may be a strided view, as s_info_nce's padded Gram
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((m, 32)).astype(dtype), rng.standard_normal((32, m)).astype(dtype)
+    want = np.concatenate([a[c:c + 128] @ b for c in range(0, m, 128)])
+    for n in (1, 2, 3, 4):
+        with blocks_of(n):
+            out = np.full((m, m + 8), np.nan, dtype)
+            view = out[:, :m]
+            assert matmul(a, b, view) is view
+            assert np.array_equal(view, want) and np.isnan(out[:, m:]).all()
+
+
+PIN_PROBE = """
+import ctypes
+from pathlib import Path
+import numpy as np
+libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_ if libs else lambda: 0
+before = threads()
+import sclrec.gcn
+print(before, threads())
+"""
+
+
+def test_gcn_import_pins_numpys_openblas_to_one_thread():
+    # a library caller's environment may ask for more BLAS threads; pretraining's bits
+    # would then depend on it, so gcn's pool stays the only parallelism
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "SCL_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in (str(Path(gcn.__file__).parents[1]),
+                                                     os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", PIN_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "0":
+        pytest.skip("numpy has no bundled scipy-openblas")
+    assert (before, after) == (str(min(2, len(os.sched_getaffinity(0)))), "1")
